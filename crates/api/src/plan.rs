@@ -18,9 +18,6 @@ pub enum PlanMode {
     Cubed(usize),
     /// Per-loop strategy from the cost model (the planner proper).
     Adaptive,
-    /// Every loop races serial vs. `Cubed(k)` arms — the maximal hedge,
-    /// kept for ablation and stress-testing the cancellation path.
-    Portfolio(usize),
 }
 
 impl PlanMode {
@@ -30,7 +27,6 @@ impl PlanMode {
             PlanMode::Serial => "serial",
             PlanMode::Cubed(_) => "cubed",
             PlanMode::Adaptive => "adaptive",
-            PlanMode::Portfolio(_) => "portfolio",
         }
     }
 }
@@ -89,15 +85,6 @@ impl PlanSpec {
         }
     }
 
-    /// Every loop races serial vs. `k`-cubed arms (k clamped to ≥ 2),
-    /// cost-ordered.
-    pub fn portfolio(k: usize) -> PlanSpec {
-        PlanSpec {
-            mode: PlanMode::Portfolio(k.max(2)),
-            cost_order: true,
-        }
-    }
-
     /// Dispatch in corpus order instead of longest-job-first; the run
     /// neither reads nor needs `results/costs.tsv` for ordering.
     pub fn corpus_order(mut self) -> PlanSpec {
@@ -112,7 +99,6 @@ impl PlanSpec {
             "serial" => Some(PlanSpec::serial()),
             "cubed" => Some(PlanSpec::cubed(k)),
             "adaptive" => Some(PlanSpec::adaptive()),
-            "portfolio" => Some(PlanSpec::portfolio(k)),
             _ => None,
         }
     }
@@ -121,7 +107,7 @@ impl PlanSpec {
     /// modes without one).
     pub fn cubes(self) -> usize {
         match self.mode {
-            PlanMode::Cubed(k) | PlanMode::Portfolio(k) => k,
+            PlanMode::Cubed(k) => k,
             PlanMode::Serial | PlanMode::Adaptive => 0,
         }
     }
@@ -133,18 +119,15 @@ mod tests {
 
     #[test]
     fn parse_and_labels_round_trip() {
-        for spec in [
-            PlanSpec::serial(),
-            PlanSpec::cubed(4),
-            PlanSpec::adaptive(),
-            PlanSpec::portfolio(8),
-        ] {
+        for spec in [PlanSpec::serial(), PlanSpec::cubed(4), PlanSpec::adaptive()] {
             assert_eq!(
                 PlanSpec::parse(spec.mode.label(), spec.cubes().max(2)),
                 Some(spec)
             );
         }
         assert_eq!(PlanSpec::parse("paln", 4), None);
+        // Portfolio racing left the vocabulary: it is an unknown mode now.
+        assert_eq!(PlanSpec::parse("portfolio", 4), None);
         assert_eq!(PlanSpec::cubed(0), PlanSpec::cubed(2), "k clamps to 2");
     }
 }

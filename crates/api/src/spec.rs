@@ -44,7 +44,7 @@ pub struct RequestSpec {
     pub cfg: SynthesisConfig,
     /// Worker threads; `None` means the host default.
     pub threads: Option<usize>,
-    /// Consult the cross-loop verified summary cache.
+    /// Consult the cross-loop summary store (every hit re-verified).
     pub cache: bool,
     /// Seed the cache from previously persisted summaries
     /// (`results/summaries.tsv`) before running.
@@ -108,7 +108,7 @@ impl RequestSpec {
         self
     }
 
-    /// Same request with the cross-loop summary cache on or off.
+    /// Same request with the cross-loop summary store on or off.
     pub fn cache(mut self, on: bool) -> RequestSpec {
         self.cache = on;
         self

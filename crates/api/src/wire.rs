@@ -801,6 +801,21 @@ mod tests {
         .is_err());
     }
 
+    /// `portfolio` left the plan vocabulary: a frame naming it gets the
+    /// typed unknown-mode decode error, like any other unknown mode.
+    #[test]
+    fn portfolio_plan_mode_is_an_unknown_mode() {
+        let err = decode_frame(
+            "{\"v\":1,\"type\":\"summary\",\"id\":\"x\",\"source\":\"\",\
+             \"plan\":{\"mode\":\"portfolio\",\"cubes\":4}}",
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("unknown plan mode \"portfolio\""),
+            "{err}"
+        );
+    }
+
     #[test]
     fn non_utf8_source_goes_hex() {
         let frame = Frame::Summary(SummaryRequest::c("bin", vec![0xff, 0x00, b'x']));

@@ -47,7 +47,7 @@ fn any_budget() -> impl Strategy<Value = Budget> {
 
 fn any_plan() -> impl Strategy<Value = PlanSpec> {
     (
-        proptest::sample::select(&["serial", "cubed", "adaptive", "portfolio"][..]),
+        proptest::sample::select(&["serial", "cubed", "adaptive"][..]),
         2usize..64,
         any::<bool>(),
     )

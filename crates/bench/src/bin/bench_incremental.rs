@@ -1,11 +1,11 @@
 //! Concrete-first + parallel-search + planner ablations and determinism
 //! audits over a corpus slice.
 //!
-//! Eight passes:
+//! Seven passes:
 //!
 //! 1. **screened** — the default pipeline: concrete-first screening +
 //!    OE-class blocking inside incremental sessions, behind the
-//!    cross-loop summary cache (every hit re-verified).
+//!    cross-loop summary store (every hit re-verified).
 //! 2. **baseline** — screening and cache off, incremental sessions on:
 //!    the PR-1 pipeline, i.e. the ablation reference for "how many solver
 //!    queries does concrete-first screening remove?".
@@ -20,14 +20,12 @@
 //!    book. The deterministic cube merge makes passes 4 and 5 synthesise
 //!    byte-identical programs; any divergence is a determinism violation.
 //! 6. **multi-worker serial** — the pure-serial plan (no cubes,
-//!    longest-job-first dispatch) at the same thread count as passes 5, 7
-//!    and 8: the strongest non-adaptive baseline, so passes 7–8 differ
-//!    from it only in per-loop strategy choice.
+//!    longest-job-first dispatch) at the same thread count as passes 5
+//!    and 7: the strongest non-adaptive baseline, so pass 7 differs from
+//!    it only in per-loop strategy choice.
 //! 7. **adaptive** — the [`ExecutionPlanner`](strsum_bench::ExecutionPlanner)
-//!    picks serial/cubed/portfolio per loop from pass 4's cost book (plus
+//!    picks serial/cubed per loop from pass 4's cost book (plus
 //!    GP-predicted costs for unseen loops).
-//! 8. **portfolio** — every loop races a serial arm against a 4-cubed arm,
-//!    first finisher wins, loser cancelled.
 //!
 //! The run fails (exit 1) on any determinism violation, on any
 //! screen-layer/solver disagreement — a candidate the symbolic circuit
@@ -61,11 +59,11 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use strsum_bench::{
-    aggregate_screen, aggregate_telemetry, write_result, Cli, CorpusRunner, LoopSynth, PlanSpec,
-    RequestSpec,
+    aggregate_screen, aggregate_telemetry, write_result, CacheStats, Cli, CorpusRunner, LoopSynth,
+    PlanSpec, RequestSpec,
 };
 use strsum_core::{Budget, SynthesisConfig};
-use strsum_corpus::{corpus, CacheStats};
+use strsum_corpus::corpus;
 use strsum_obs::ToJson;
 
 fn config(screen: bool, incremental: bool, timeout: f64) -> SynthesisConfig {
@@ -133,7 +131,7 @@ fn main() {
 
     // Passes 1–3 pin corpus-order dispatch so the screening ablation and
     // its audit stay independent of whatever cost book is on disk; passes
-    // 4–8 use cost-aware plans (pass 4 populates the book the later
+    // 4–7 use cost-aware plans (pass 4 populates the book the later
     // passes schedule and predict from).
     let run = |cfg: SynthesisConfig, cached: bool, n: usize, plan: PlanSpec| {
         let mut runner = CorpusRunner::new(plan).persist_costs(true);
@@ -151,12 +149,12 @@ fn main() {
     };
     let pass1_plan = cli.plan(PlanSpec::serial().corpus_order());
     println!(
-        "pass 1/8: screened + cached, incremental sessions ({} plan)…",
+        "pass 1/7: screened + cached, incremental sessions ({} plan)…",
         pass1_plan.mode.label()
     );
     let (r1, _) = run(config(true, true, timeout), true, threads, pass1_plan);
     let (screened, cache) = (r1.results, r1.cache);
-    println!("pass 2/8: baseline (no screen, no cache), incremental sessions…");
+    println!("pass 2/7: baseline (no screen, no cache), incremental sessions…");
     let baseline = run(
         config(false, true, timeout),
         false,
@@ -165,7 +163,7 @@ fn main() {
     )
     .0
     .results;
-    println!("pass 3/8: screened + cached, from-scratch reference…");
+    println!("pass 3/7: screened + cached, from-scratch reference…");
     let (r3, _) = run(
         config(true, false, timeout),
         true,
@@ -173,12 +171,12 @@ fn main() {
         PlanSpec::serial().corpus_order(),
     );
     let (scratch, scratch_cache) = (r3.results, r3.cache);
-    println!("pass 4/8: serial reference (1 thread, 1 cube, recording costs)…");
+    println!("pass 4/7: serial reference (1 thread, 1 cube, recording costs)…");
     let (r4, serial_makespan) = run(config(true, true, timeout), true, 1, PlanSpec::serial());
     let (serial, serial_cache) = (r4.results, r4.cache);
     let threads_parallel = threads.max(2);
     println!(
-        "pass 5/8: parallel ({threads_parallel} threads, 4 cubes/query, cost-aware dispatch)…"
+        "pass 5/7: parallel ({threads_parallel} threads, 4 cubes/query, cost-aware dispatch)…"
     );
     let (r5, parallel_makespan) = run(
         config(true, true, timeout),
@@ -187,9 +185,9 @@ fn main() {
         PlanSpec::cubed(4),
     );
     let (parallel, parallel_cache) = (r5.results, r5.cache);
-    println!("pass 6/8: pure serial at {threads_parallel} threads (the plan to beat)…");
+    println!("pass 6/7: pure serial at {threads_parallel} threads (the plan to beat)…");
     // Cost-ordered (LJF) serial is the strongest non-adaptive baseline:
-    // passes 7–8 differ from it only in *strategy* choice, so the speedup
+    // pass 7 differs from it only in *strategy* choice, so the speedup
     // gate measures the planner's decisions, not dispatch order.
     let (r6, serial_mw_makespan) = run(
         config(true, true, timeout),
@@ -198,7 +196,7 @@ fn main() {
         PlanSpec::serial(),
     );
     let serial_mw = r6.results;
-    println!("pass 7/8: adaptive planner at {threads_parallel} threads…");
+    println!("pass 7/7: adaptive planner at {threads_parallel} threads…");
     let (r7, adaptive_makespan) = run(
         config(true, true, timeout),
         true,
@@ -206,14 +204,6 @@ fn main() {
         PlanSpec::adaptive(),
     );
     let (adaptive, adaptive_counts) = (r7.results, r7.plan);
-    println!("pass 8/8: portfolio racing at {threads_parallel} threads…");
-    let (r8, portfolio_makespan) = run(
-        config(true, true, timeout),
-        true,
-        threads_parallel,
-        PlanSpec::portfolio(4),
-    );
-    let portfolio = r8.results;
 
     // Determinism audits: identical programs, identical failure kinds,
     // between two passes that must agree byte-for-byte. (Timeout-bounded
@@ -258,8 +248,6 @@ fn main() {
     let (cubed_mismatches, cubed_races) = audit(&serial_mw, &parallel, "serial-mw", "cubed");
     let (adaptive_mismatches, adaptive_races) =
         audit(&serial_mw, &adaptive, "serial-mw", "adaptive");
-    let (portfolio_mismatches, portfolio_races) =
-        audit(&serial_mw, &portfolio, "serial-mw", "portfolio");
     if verbose {
         for (s, b) in screened.iter().zip(&baseline) {
             let show = |r: &LoopSynth| match (&r.summary, &r.failure) {
@@ -284,7 +272,6 @@ fn main() {
     disagreed.extend(disagreements(&parallel));
     disagreed.extend(disagreements(&serial_mw));
     disagreed.extend(disagreements(&adaptive));
-    disagreed.extend(disagreements(&portfolio));
 
     let count_ok = |rs: &[LoopSynth]| rs.iter().filter(|r| r.summary.is_some()).count();
     let screened_q = aggregate_telemetry(&screened).total().queries;
@@ -339,31 +326,23 @@ fn main() {
     );
     let adaptive_speedup =
         serial_mw_makespan.as_secs_f64() / adaptive_makespan.as_secs_f64().max(1e-9);
-    let portfolio_speedup =
-        serial_mw_makespan.as_secs_f64() / portfolio_makespan.as_secs_f64().max(1e-9);
     println!(
-        "planner  : {:>8.2}s serial vs {:>8.2}s adaptive ({adaptive_speedup:.2}x) vs {:>8.2}s \
-         portfolio ({portfolio_speedup:.2}x) at {threads_parallel} threads",
+        "planner  : {:>8.2}s serial vs {:>8.2}s adaptive ({adaptive_speedup:.2}x) at \
+         {threads_parallel} threads",
         serial_mw_makespan.as_secs_f64(),
-        adaptive_makespan.as_secs_f64(),
-        portfolio_makespan.as_secs_f64()
+        adaptive_makespan.as_secs_f64()
     );
     println!(
-        "planner  : adaptive chose serial×{} cubed×{} portfolio×{} ({} GP-modelled)",
-        adaptive_counts.serial,
-        adaptive_counts.cubed,
-        adaptive_counts.portfolio,
-        adaptive_counts.modeled
+        "planner  : adaptive chose serial×{} cubed×{} ({} GP-modelled)",
+        adaptive_counts.serial, adaptive_counts.cubed, adaptive_counts.modeled
     );
     println!(
-        "audit    : plans vs serial-mw — cubed {}+{}r, adaptive {}+{}r, portfolio {}+{}r \
+        "audit    : plans vs serial-mw — cubed {}+{}r, adaptive {}+{}r \
          (mismatches+timing races)",
         cubed_mismatches.len(),
         cubed_races,
         adaptive_mismatches.len(),
-        adaptive_races,
-        portfolio_mismatches.len(),
-        portfolio_races
+        adaptive_races
     );
 
     let mut json = String::new();
@@ -529,22 +508,12 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"adaptive\": {},",
+        "    \"adaptive\": {}",
         plan_row(
             adaptive_makespan,
             &adaptive,
             adaptive_mismatches.len(),
             adaptive_races
-        )
-    );
-    let _ = writeln!(
-        json,
-        "    \"portfolio\": {}",
-        plan_row(
-            portfolio_makespan,
-            &portfolio,
-            portfolio_mismatches.len(),
-            portfolio_races
         )
     );
     let _ = writeln!(json, "  }},");
@@ -580,7 +549,7 @@ fn main() {
             }
         }
         let telemetry_q = [
-            &screened, &baseline, &scratch, &serial, &parallel, &serial_mw, &adaptive, &portfolio,
+            &screened, &baseline, &scratch, &serial, &parallel, &serial_mw, &adaptive,
         ]
         .iter()
         .map(|rs| aggregate_telemetry(rs).total().queries)
@@ -604,7 +573,6 @@ fn main() {
         .chain(&par_mismatches)
         .chain(&cubed_mismatches)
         .chain(&adaptive_mismatches)
-        .chain(&portfolio_mismatches)
         .collect();
     if !all_mismatches.is_empty() {
         eprintln!("DETERMINISM VIOLATIONS:");

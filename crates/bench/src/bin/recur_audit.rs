@@ -39,6 +39,8 @@ use strsum_obs::ToJson as _;
 /// One loop's lane-comparison record.
 struct LaneRow {
     id: String,
+    /// From the stateful corpus rather than the memoryless one.
+    stateful: bool,
     kind: Option<&'static str>,
     flip: bool,
     verified: bool,
@@ -97,11 +99,14 @@ fn main() {
     let mut identical = 0usize;
     let mut flips = 0usize;
     let mut verified_flips = 0usize;
-    let mut skipped = 0usize;
+    // Skipped loops (no compile, or a wall-clock verdict), memoryless
+    // corpus and stateful corpus apart.
+    let mut skipped = [0usize; 2];
 
-    for entry in &entries {
+    for (i, entry) in entries.iter().enumerate() {
+        let stateful_row = i >= memoryless_count;
         let Ok(func) = strsum_cfront::compile_one(&entry.source) else {
-            skipped += 1;
+            skipped[usize::from(stateful_row)] += 1;
             continue;
         };
         let off = summarize_loop(&func, &off_cfg);
@@ -113,7 +118,7 @@ fn main() {
         // the two runs (same exclusion as the PR 7 byte-identity gate).
         let timing = |stats: &strsum_core::SynthStats| stats.exhausted.is_some();
         if timing(&off.stats) || timing(&on.stats) {
-            skipped += 1;
+            skipped[usize::from(stateful_row)] += 1;
             continue;
         }
 
@@ -162,6 +167,7 @@ fn main() {
 
         rows.push(LaneRow {
             id: entry.id.clone(),
+            stateful: stateful_row,
             kind: on.summary.as_ref().map(|s| s.kind().label()),
             flip,
             verified,
@@ -179,10 +185,14 @@ fn main() {
     } else {
         verified_flips as f64 / flips as f64
     };
+    let stateful_rows = rows.iter().filter(|r| r.stateful).count();
+    let memoryless_rows = rows.len() - stateful_rows;
     println!(
-        "lane comparison: {} loops ({skipped} skipped), {identical} byte-identical on the fragment, \
+        "lane comparison: {memoryless_rows} memoryless + {stateful_rows} stateful loops \
+         ({} + {} skipped), {identical} byte-identical on the fragment, \
          {flips} flips, {verified_flips} verified ({:.0}%)",
-        rows.len(),
+        skipped[0],
+        skipped[1],
         100.0 * verification_rate
     );
 
@@ -222,8 +232,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"memoryless\": {{\"compared\":{},\"byte_identical\":{identical},\"skipped\":{skipped}}},",
-        rows.len()
+        "  \"memoryless\": {{\"compared\":{memoryless_rows},\"byte_identical\":{identical},\"skipped\":{}}},",
+        skipped[0]
+    );
+    let _ = writeln!(
+        json,
+        "  \"stateful\": {{\"compared\":{stateful_rows},\"skipped\":{}}},",
+        skipped[1]
     );
     let _ = writeln!(
         json,

@@ -13,9 +13,9 @@
 //! - `--retries <n>` — quarantine-lane rounds for budget-exhausted loops
 //! - `--fault-plan <path>` — a deterministic [`FaultPlan`] file to inject
 //! - `--trace <path>` — Chrome-trace span capture (see [`TraceArgs`])
-//! - `--plan {serial,cubed,adaptive,portfolio}` — per-loop execution
-//!   strategy (see [`PlanSpec`]); `--cubes <k>` sets the cube count the
-//!   fixed `cubed`/`portfolio` modes use
+//! - `--plan {serial,cubed,adaptive}` — per-loop execution strategy
+//!   (see [`PlanSpec`]); `--cubes <k>` sets the cube count the fixed
+//!   `cubed` mode uses
 
 use std::time::Duration;
 use strsum_core::Budget;
@@ -123,12 +123,12 @@ impl Cli {
     /// meaningful baseline when the flags are absent). An unrecognised
     /// mode exits with a usage error — a typo'd plan silently falling
     /// back would invalidate a benchmark comparison. `--cubes` alone
-    /// retargets a fixed cubed/portfolio default's cube count.
+    /// retargets a fixed cubed default's cube count.
     pub fn plan(&self, default: PlanSpec) -> PlanSpec {
         let cubes = self.parsed(
             "--cubes",
             match default.mode {
-                crate::PlanMode::Cubed(k) | crate::PlanMode::Portfolio(k) => k,
+                crate::PlanMode::Cubed(k) => k,
                 _ => 4,
             },
         );
@@ -136,10 +136,6 @@ impl Cli {
             None => match default.mode {
                 crate::PlanMode::Cubed(_) => PlanSpec {
                     mode: crate::PlanMode::Cubed(cubes.max(2)),
-                    ..default
-                },
-                crate::PlanMode::Portfolio(_) => PlanSpec {
-                    mode: crate::PlanMode::Portfolio(cubes.max(2)),
                     ..default
                 },
                 _ => default,
@@ -152,7 +148,7 @@ impl Cli {
                 None => {
                     eprintln!(
                         "error: unknown --plan {mode:?} \
-                         (expected serial, cubed, adaptive or portfolio)"
+                         (expected serial, cubed or adaptive)"
                     );
                     std::process::exit(2);
                 }
@@ -258,8 +254,6 @@ mod tests {
         // --cubes feeds the fixed modes, given or defaulted.
         let cli = Cli::from_args(&["prog", "--plan", "cubed", "--cubes", "8"]);
         assert_eq!(cli.plan(PlanSpec::serial()), PlanSpec::cubed(8));
-        let cli = Cli::from_args(&["prog", "--plan", "portfolio"]);
-        assert_eq!(cli.plan(PlanSpec::serial()), PlanSpec::portfolio(4));
 
         // --cubes alone retargets a fixed default's cube count.
         let cli = Cli::from_args(&["prog", "--cubes", "2"]);

@@ -15,20 +15,16 @@ use strsum_gadgets::Program;
 
 pub mod cli;
 mod fault;
-pub mod plan;
 mod runner;
-mod schedule;
 mod trace;
 
 pub use cli::Cli;
 pub use fault::{Fault, FaultPlan};
-pub use plan::{
-    loop_features, ExecutionPlanner, LoopFeatures, LoopPlan, Plan, PlanCounts, PlanMode, PlanSpec,
-    Strategy,
+pub use runner::{CacheStats, CorpusReport, CorpusRunner, KindCounts, OutcomeCounts, RetryStats};
+pub use strsum_api::{LoopSpec, PlanMode, PlanSpec, RequestSpec, Scope};
+pub use strsum_corpus::plan::{
+    ljf_order, loop_features, ExecutionPlanner, LoopFeatures, LoopPlan, Plan, PlanCounts, Strategy,
 };
-pub use runner::{CorpusReport, CorpusRunner, KindCounts, OutcomeCounts, RetryStats};
-pub use schedule::ljf_order;
-pub use strsum_api::{LoopSpec, RequestSpec, Scope};
 pub use trace::TraceArgs;
 
 /// The [`LoopSpec`] view of corpus entries — for feeding an explicit
@@ -60,7 +56,7 @@ pub struct LoopSynth {
     pub failure: Option<String>,
     /// Full run statistics, including solver telemetry.
     pub stats: SynthStats,
-    /// Whether the program came from the cross-loop summary cache (and
+    /// Whether the program came from the cross-loop summary store (and
     /// passed re-verification) rather than from fresh synthesis.
     pub cache_hit: bool,
     /// How the loop resolved — exhaustive over success, cache reuse,
@@ -121,15 +117,19 @@ pub fn par_map_ordered<T: Sync, R: Send>(
     par_map_inner(items, threads, Some(order), f)
 }
 
-/// Renders a `catch_unwind` payload as the panic message it carried.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic of unknown type".to_string()
-    }
+/// Runs `f`, turning a panic into `Err(the message it carried)`.
+/// `AssertUnwindSafe` is justified because a panicking call's partial
+/// state dies here — only the `Err` crosses the boundary.
+pub(crate) fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "panic of unknown type".to_string()
+        }
+    })
 }
 
 fn par_map_inner<T: Sync, R: Send>(
@@ -162,11 +162,8 @@ fn par_map_inner<T: Sync, R: Send>(
                     None => ticket,
                 };
                 // Panic isolation: one poisoned loop must not take down
-                // the corpus run. AssertUnwindSafe is justified because a
-                // panicking `f` invocation's partial state dies here —
-                // only the Err slot crosses the boundary.
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&items[i])))
-                    .map_err(panic_message);
+                // the corpus run.
+                let result = isolate(|| f(&items[i]));
                 if tx.send((i, result)).is_err() {
                     break;
                 }

@@ -1,61 +1,61 @@
-//! The one entry point over the synthesis stack: [`CorpusRunner`].
+//! The batch front end over the one summary lifecycle: [`CorpusRunner`].
 //!
-//! Earlier revisions grew three parallel entry points (since removed),
-//! then a nine-method builder whose options accumulated the same way.
-//! Both collapsed into the request/response API:
-//! `CorpusRunner::new(PlanSpec)` fixes *how* to execute,
+//! A runner fixes *how* to execute ([`PlanSpec`]: serial / cubed /
+//! adaptive × cost-ordered or corpus-ordered dispatch);
 //! [`CorpusRunner::serve`] takes a [`RequestSpec`] saying *what* to run
-//! (config / threads / cache / scope) and returns a single
-//! [`CorpusReport`] holding the per-loop results plus every aggregate
-//! the binaries report. The old builder methods survived one release as
-//! `#[deprecated]` shims and are now gone.
+//! (config / threads / cache / scope) and returns one [`CorpusReport`]
+//! holding the per-loop results plus every aggregate the binaries report.
 //!
-//! Summaries are lane-agnostic: every loop goes through
-//! [`strsum_core::summarize_loop`], which tries the gadget CEGIS lane
-//! first and falls back to the recurrence lane for accumulator/builder
-//! loops, so a [`LoopSynth`] carries a [`strsum_core::Summary`] of any
-//! kind and the report tallies kinds in [`KindCounts`].
+//! Every loop runs through the summary engine's two halves —
+//! [`Engine::prepare`] and [`Engine::resolve`], the code the
+//! `strsum-server` daemon answers requests with — over a store in a
+//! per-run scratch directory, so a batch answer and a daemon answer are
+//! one code path by construction. A run has four phases:
 //!
-//! Execution strategy is one knob: [`CorpusRunner::new`] takes a
-//! [`PlanSpec`] (serial / cubed / adaptive / portfolio × cost-ordered or
-//! corpus-ordered dispatch), which the [`crate::plan::ExecutionPlanner`]
-//! turns into a per-loop [`Plan`]. The old `intra_loop`/`cost_schedule`
-//! knob pair collapsed into it — see the conversion table on
-//! [`PlanSpec`].
+//! 1. **prepare** — compile, fingerprint and extract planner features
+//!    for every loop, in parallel;
+//! 2. **plan** — the [`ExecutionPlanner`] picks each loop's strategy and
+//!    the dispatch order from the persisted cost book;
+//! 3. **resolve** — with the cache on, loops sharing a fingerprint form
+//!    a group (with it off, every loop is its own group, and requests
+//!    bypass the store). Each group runs on one worker, members in
+//!    corpus order: the first synthesises and publishes, each later one
+//!    re-verifies the published summary against its own loop, and
+//!    synthesises and publishes its own when there is none or it is
+//!    rejected;
+//! 4. **retry** — the quarantine lane re-runs budget-exhausted loops
+//!    with an escalated budget, bypassing the store.
 //!
 //! Determinism contract: every parallel phase is an order-preserving
 //! [`crate::par_map`] (or a [`crate::par_map_ordered`] whose output is
-//! still slotted by original index), grouping follows corpus order, and
-//! trace aggregation merges by span key — so results, cache-hit patterns,
-//! and the aggregated metrics table are all independent of thread
-//! scheduling *and* of the dispatch schedule. Per-loop strategies keep
-//! the contract: cubes return the serial answer by the deterministic
-//! merge theorem, and a portfolio race's arms are both deterministic, so
-//! the winner carries the same programs either way (budget-exhaustion
-//! verdicts remain wall-clock-dependent under *any* strategy — the
-//! audits classify those as timing races).
+//! still slotted by original index), and the store traffic of a
+//! fingerprint group happens on one worker in corpus order — so results,
+//! cache-hit patterns, and the aggregated metrics table are all
+//! independent of thread scheduling *and* of the dispatch schedule.
+//! Cubed strategies keep the contract by the deterministic merge theorem
+//! (budget-exhaustion verdicts remain wall-clock-dependent under *any*
+//! strategy — the audits classify those as timing races).
 
 use std::fs;
 use std::io::Write as _;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use strsum_api::{LoopSpec, RequestSpec, Scope};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+use strsum_api::{LoopSpec, RequestFlags, RequestSpec, Scope, SummaryRequest, SummaryResponse};
 use strsum_core::{
-    loop_fingerprint, summarize_loop, summarize_loop_with_cancel, verify_summary, BudgetKind,
-    CancelToken, LoopOutcome, SolverTelemetry, SummarizeResult, Summary, SummaryKind, SynthStats,
+    Budget, BudgetKind, LoopOutcome, SolverTelemetry, Summary, SummaryKind, SynthStats,
     SynthesisConfig,
 };
-use strsum_corpus::{
-    fingerprint_hash, App, CacheStats, CostBook, CostStat, LoopEntry, RecordedOutcome, SummaryCache,
-};
+use strsum_corpus::plan::{ExecutionPlanner, PlanCounts, Strategy};
+use strsum_corpus::{App, CostBook, LoopEntry};
 use strsum_gadgets::Program;
 use strsum_obs::{names, Aggregate, Collector, ToJson};
-use strsum_smt::SessionStats;
+use strsum_server::{Engine, Prepared, PreparedTask, Resolution};
 
-use crate::plan::{loop_features, ExecutionPlanner, LoopFeatures, Plan, PlanCounts, Strategy};
 use crate::{
-    aggregate_screen, aggregate_telemetry, default_threads, hex, par_map, par_map_ordered,
-    results_dir, unhex, Fault, FaultPlan, LoopSynth, PlanSpec,
+    aggregate_screen, aggregate_telemetry, default_threads, hex, isolate, par_map, par_map_ordered,
+    results_dir, unhex, Fault, FaultPlan, LoopSynth, PlanMode, PlanSpec,
 };
 
 /// Aggregate counts of every [`LoopOutcome`] in a run. The six variants
@@ -64,7 +64,7 @@ use crate::{
 pub struct OutcomeCounts {
     /// Loops summarised by fresh synthesis.
     pub summarized: usize,
-    /// Loops served by the cross-loop summary cache.
+    /// Loops served by the cross-loop summary store.
     pub cache_hits: usize,
     /// Loops with no summary in the vocabulary (or not compiling).
     pub not_memoryless: usize,
@@ -189,13 +189,35 @@ impl ToJson for RetryStats {
     }
 }
 
+/// Summary-store traffic of a cached run (all zero when the cache was
+/// off).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups that found a candidate summary (before re-verification).
+    pub hits: usize,
+    /// Lookups that found nothing.
+    pub misses: usize,
+    /// Hits whose summary failed re-verification against the requesting
+    /// loop (fingerprint collision or poisoned entry) and were discarded.
+    pub rejected: usize,
+}
+
+impl ToJson for CacheStats {
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"hits\":{},\"misses\":{},\"rejected\":{}}}",
+            self.hits, self.misses, self.rejected
+        )
+    }
+}
+
 /// Everything a corpus run produces: per-loop results plus the aggregates
 /// every experiment binary reports.
 #[derive(Debug, Default)]
 pub struct CorpusReport {
     /// Per-loop outcomes, in corpus order.
     pub results: Vec<LoopSynth>,
-    /// Cross-loop summary-cache counters (all zero when the cache was off).
+    /// Summary-store counters (all zero when the cache was off).
     pub cache: CacheStats,
     /// Concrete-screening counters summed over the run.
     pub screen: strsum_core::ScreenStats,
@@ -211,7 +233,8 @@ pub struct CorpusReport {
     /// Quarantine/retry-lane accounting (all zero with `retries` = 0).
     pub retries: RetryStats,
     /// Per-strategy tallies of the executed plan (all zero for runs that
-    /// never planned, e.g. summaries loaded from disk).
+    /// never planned, e.g. summaries loaded from disk). `portfolio` is
+    /// always 0.
     pub plan: PlanCounts,
 }
 
@@ -245,9 +268,7 @@ impl CorpusReport {
 ///
 /// `trace`, `fault_plan` and `persist_costs` are harness-side
 /// instrumentation and policy, not request vocabulary, so they stay on
-/// the runner — a wire request can never carry them. (The nine-method
-/// builder this design replaced shipped one release of `#[deprecated]`
-/// shims, now removed.)
+/// the runner — a wire request can never carry them.
 #[derive(Debug, Clone)]
 pub struct CorpusRunner {
     cfg: SynthesisConfig,
@@ -258,6 +279,14 @@ pub struct CorpusRunner {
     trace: Option<Arc<Collector>>,
     fault_plan: FaultPlan,
     persist_costs: bool,
+}
+
+/// What one run's main and retry lanes produced, before reporting.
+struct Executed {
+    results: Vec<LoopSynth>,
+    cache: CacheStats,
+    retries: RetryStats,
+    plan: PlanCounts,
 }
 
 impl CorpusRunner {
@@ -296,17 +325,17 @@ impl CorpusRunner {
         }
         runner.cache = spec.cache;
         runner.reuse_summaries = spec.reuse_summaries;
+        if let Some(sink) = &runner.trace {
+            strsum_obs::install(sink.clone());
+        }
         match spec.scope {
             Scope::Corpus { limit: None } => runner.run_full_corpus(),
             Scope::Corpus { limit: Some(n) } => {
                 let mut entries = strsum_corpus::corpus();
                 entries.truncate(n);
-                runner.run_entries(&entries)
+                runner.report(runner.execute(&entries))
             }
-            Scope::Loops(specs) => {
-                let entries = resolve_loop_specs(&specs);
-                runner.run_entries(&entries)
-            }
+            Scope::Loops(specs) => runner.report(runner.execute(&resolve_loop_specs(&specs))),
         }
     }
 
@@ -341,78 +370,215 @@ impl CorpusRunner {
         self
     }
 
-    /// The effective synthesis configuration.
-    pub fn config(&self) -> &SynthesisConfig {
-        &self.cfg
-    }
-
-    /// Runs synthesis over `entries`, honouring every option except
-    /// `reuse_summaries` (the summaries file is keyed by the full
-    /// corpus, so reuse only applies to full-corpus runs).
-    fn run_entries(&self, entries: &[LoopEntry]) -> CorpusReport {
-        if let Some(sink) = &self.trace {
-            strsum_obs::install(sink.clone());
-        }
-        let (mut results, cache, plan) = if self.cache {
-            self.run_cached(entries)
-        } else {
-            let (results, plan) = self.run_plain(entries);
-            (results, CacheStats::default(), plan)
-        };
-        let retries = self.retry_lane(entries, &mut results);
-        self.report(results, cache, retries, plan)
-    }
-
-    /// Runs over the full built-in corpus, honouring `reuse_summaries`.
+    /// Runs over the full built-in corpus, honouring `reuse_summaries`
+    /// (the summaries file is keyed by the full corpus, so reuse only
+    /// applies to full-corpus runs).
     fn run_full_corpus(&self) -> CorpusReport {
         let entries = strsum_corpus::corpus();
         if !self.reuse_summaries {
-            return self.run_entries(&entries);
-        }
-        if let Some(sink) = &self.trace {
-            strsum_obs::install(sink.clone());
+            return self.report(self.execute(&entries));
         }
         let path = results_dir().join("summaries.tsv");
         if let Some(results) = load_summaries(&path, &entries) {
-            return self.report(
+            return self.report(Executed {
                 results,
-                CacheStats::default(),
-                RetryStats::default(),
-                PlanCounts::default(),
-            );
+                cache: CacheStats::default(),
+                retries: RetryStats::default(),
+                plan: PlanCounts::default(),
+            });
         }
         println!("(no summary cache; synthesising the corpus first — this takes a while)");
-        let (mut results, cache, plan) = if self.cache {
-            self.run_cached(&entries)
-        } else {
-            let (results, plan) = self.run_plain(&entries);
-            (results, CacheStats::default(), plan)
-        };
-        // Retry before persisting: a recovered summary belongs in the file.
-        let retries = self.retry_lane(&entries, &mut results);
+        // The retry lane runs inside `execute`, so a recovered summary
+        // lands in the file.
+        let run = self.execute(&entries);
         let mut file = fs::File::create(&path).expect("can create summary cache");
-        for r in &results {
+        for r in &run.results {
             let enc = match &r.summary {
                 Some(s) => hex(&s.encode()),
                 None => "-".to_string(),
             };
             writeln!(file, "{}\t{}", r.entry.id, enc).expect("cache write");
         }
-        self.report(results, cache, retries, plan)
+        self.report(run)
+    }
+
+    /// Whether the run plans from the persisted cost book (and may write
+    /// it back): cost-ordered dispatch reads it, and so does the adaptive
+    /// mode's predictor. A fixed-mode corpus-order run (e.g. the
+    /// fault-audit baselines) neither reads nor writes it.
+    fn keyed(&self) -> bool {
+        self.plan.cost_order || self.plan.mode == PlanMode::Adaptive
+    }
+
+    /// The engine request for one loop: the run's flags, the store used
+    /// only when the cache is on, and `budget` overriding the run's.
+    fn request(&self, entry: &LoopEntry, budget: Option<Budget>, store: bool) -> SummaryRequest {
+        let mut req = SummaryRequest::c(entry.id.clone(), entry.source.clone());
+        req.budget = budget;
+        req.flags = RequestFlags {
+            store,
+            screen: self.cfg.screen,
+            theory_fast_path: self.cfg.theory_fast_path,
+        };
+        req
+    }
+
+    /// Runs every phase over `entries` against an engine whose store
+    /// lives in a scratch directory for the length of the run.
+    fn execute(&self, entries: &[LoopEntry]) -> Executed {
+        let scratch = ScratchDir::new();
+        // Per-loop cube counts come from the plan (the grant to
+        // `Engine::resolve`), so the engine's base config is serial.
+        let base = SynthesisConfig {
+            intra_loop: 1,
+            ..self.cfg.clone()
+        };
+        let engine = Engine::open(&scratch.0, 0, base)
+            .unwrap_or_else(|e| panic!("cannot open a run store in {}: {e}", scratch.0.display()));
+
+        // Phase 1: prepare every loop (compile, fingerprint, features).
+        let prepared = par_map(entries, self.threads, |e| {
+            let mut span = strsum_obs::span("loop.fingerprint", "corpus");
+            if span.active() {
+                span.arg_str("id", e.id.clone());
+            }
+            engine.prepare(self.request(e, None, self.cache))
+        });
+        let mut results: Vec<Option<LoopSynth>> = entries.iter().map(|_| None).collect();
+        let mut tasks: Vec<Option<PreparedTask>> = entries.iter().map(|_| None).collect();
+        for (i, p) in prepared.into_iter().enumerate() {
+            match p {
+                Ok(Prepared::Task(task)) => tasks[i] = Some(task),
+                Ok(Prepared::Done(resp)) => results[i] = Some(refused(&entries[i], resp)),
+                Err(msg) => results[i] = Some(crashed(entries[i].clone(), msg)),
+            }
+        }
+
+        // Phase 2: plan from the book, this run's keys and features.
+        let keys: Vec<Option<u64>> = tasks.iter().map(|t| t.as_ref().map(|t| t.key())).collect();
+        let features: Vec<_> = tasks
+            .iter()
+            .map(|t| t.as_ref().map(|t| t.features()))
+            .collect();
+        let book = if self.keyed() {
+            CostBook::load(&results_dir().join("costs.tsv"))
+        } else {
+            CostBook::new()
+        };
+        let plan = ExecutionPlanner::new(self.plan, &book, self.threads).plan(&keys, &features);
+
+        // Phase 3: resolve the fingerprint groups, each on one worker in
+        // corpus order, dispatched in the plan's order of their first
+        // members. Without the cache every loop is a group of its own.
+        // (Grouping by the fingerprint hash is safe: a hash collision
+        // only serialises two groups, the store keys on the full
+        // fingerprint.)
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: std::collections::HashMap<u64, usize> = Default::default();
+        for (i, key) in keys.iter().enumerate() {
+            let Some(key) = *key else { continue };
+            match group_of.get(&key) {
+                Some(&g) if self.cache => groups[g].push(i),
+                _ => {
+                    group_of.insert(key, groups.len());
+                    groups.push(vec![i]);
+                }
+            }
+        }
+        let mut rank = vec![0usize; entries.len()];
+        for (pos, &i) in plan.order.iter().enumerate() {
+            rank[i] = pos;
+        }
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by_key(|&g| rank[groups[g][0]]);
+        let slots: Vec<Mutex<Option<PreparedTask>>> = tasks.into_iter().map(Mutex::new).collect();
+        let resolved = par_map_ordered(&groups, self.threads, &order, |group| {
+            // A member's panic is isolated to its own slot, so the rest
+            // of its group still resolves.
+            let resolve_member = |i: usize| {
+                let task = slots[i].lock().expect("task slot").take();
+                let task = task.expect("each task resolves once");
+                self.resolve(&engine, &entries[i], task, plan.loops[i].strategy)
+            };
+            group
+                .iter()
+                .map(|&i| isolate(|| resolve_member(i)))
+                .collect::<Vec<_>>()
+        });
+        for (group, done) in groups.iter().zip(resolved) {
+            let done = done.expect("member panics are isolated per member");
+            for (&i, r) in group.iter().zip(done) {
+                results[i] = Some(r.unwrap_or_else(|msg| crashed(entries[i].clone(), msg)));
+            }
+        }
+        let mut results: Vec<LoopSynth> = results
+            .into_iter()
+            .map(|r| r.expect("every loop is resolved by one phase"))
+            .collect();
+        let stats = engine.stats();
+        let cache = if self.cache {
+            CacheStats {
+                hits: stats.reverified as usize,
+                misses: (stats.store_misses - stats.rejected) as usize,
+                rejected: stats.rejected as usize,
+            }
+        } else {
+            CacheStats::default()
+        };
+        // The main lane's costs only: the retry lane runs under an
+        // escalated budget the next run's plan knows nothing about.
+        if self.persist_costs && self.keyed() {
+            let _ = engine.merge_costs_into(&results_dir().join("costs.tsv"));
+        }
+
+        // Phase 4: the quarantine lane.
+        let retries = self.retry_lane(&engine, entries, &mut results);
+        Executed {
+            results,
+            cache,
+            retries,
+            plan: plan.counts(),
+        }
+    }
+
+    /// Resolves one prepared loop under its planned strategy, with any
+    /// planned fault applied first: a planned panic unwinds right here,
+    /// inside the dispatching `par_map` worker; a forced `Unknown` or an
+    /// expired deadline doctors the task's config so the ordinary budget
+    /// machinery classifies it.
+    fn resolve(
+        &self,
+        engine: &Engine,
+        entry: &LoopEntry,
+        mut task: PreparedTask,
+        strategy: Strategy,
+    ) -> LoopSynth {
+        if let Some(fault) = self.fault_plan.fault_for(&entry.id) {
+            strsum_obs::counter(names::FAULT_INJECTED, "corpus", 1);
+            let cfg = task.config_mut();
+            match fault {
+                Fault::Panic => panic!("injected fault: worker panic for {}", entry.id),
+                Fault::UnknownAtQuery(n) => cfg.forced_unknown_at = Some(*n),
+                Fault::DeadlineExpiry => cfg.budget.wall = Duration::ZERO,
+            }
+        }
+        resolved(entry, engine.resolve(task, strategy.cube_k()))
     }
 
     /// The quarantine lane: loops whose main-lane outcome was a budget
     /// exhaustion are re-run with an escalated budget
     /// ([`Budget::escalate`]), longest-prior-elapsed first, for up to
-    /// `budget.retries` rounds. Faults never follow a loop into the lane,
-    /// and with `retries` = 0 (the default) the lane is never entered.
-    fn retry_lane(&self, entries: &[LoopEntry], results: &mut [LoopSynth]) -> RetryStats {
+    /// `budget.retries` rounds. The lane runs serial, bypasses the store
+    /// and leaves faults behind; with `retries` = 0 (the default) it is
+    /// never entered.
+    fn retry_lane(
+        &self,
+        engine: &Engine,
+        entries: &[LoopEntry],
+        results: &mut [LoopSynth],
+    ) -> RetryStats {
         let base = self.cfg.budget;
         let mut stats = RetryStats::default();
-        if base.retries == 0 {
-            return stats;
-        }
-        let clean = FaultPlan::new();
         for round in 1..=base.retries {
             let mut idxs: Vec<usize> = results
                 .iter()
@@ -427,21 +593,16 @@ impl CorpusRunner {
             // (index order on ties keeps the lane deterministic).
             idxs.sort_by(|&a, &b| results[b].elapsed.cmp(&results[a].elapsed).then(a.cmp(&b)));
             stats.rounds = round;
-            // The lane runs serial regardless of the main-lane plan: an
-            // escalated budget is already the recovery lever, and a
-            // near-empty retry queue has no sibling loops for cubes to
-            // steal from anyway.
-            let escalated = SynthesisConfig {
-                budget: base.escalate(round),
-                intra_loop: 1,
-                ..self.cfg.clone()
-            };
+            let budget = base.escalate(round);
             let raw = par_map(&idxs, self.threads, |&i| {
                 strsum_obs::counter(names::RETRY_ATTEMPT, "corpus", 1);
-                synthesize_entry(entries[i].clone(), &escalated, &clean)
+                match engine.prepare(self.request(&entries[i], Some(budget), false)) {
+                    Prepared::Task(task) => resolved(&entries[i], engine.resolve(task, 1)),
+                    Prepared::Done(resp) => refused(&entries[i], resp),
+                }
             });
             for (&i, r) in idxs.iter().zip(raw) {
-                let r = resolve(&entries[i], r);
+                let r = r.unwrap_or_else(|msg| crashed(entries[i].clone(), msg));
                 stats.retried += 1;
                 if r.summary.is_some() {
                     stats.recovered += 1;
@@ -453,13 +614,13 @@ impl CorpusRunner {
         stats
     }
 
-    fn report(
-        &self,
-        results: Vec<LoopSynth>,
-        cache: CacheStats,
-        retries: RetryStats,
-        plan: PlanCounts,
-    ) -> CorpusReport {
+    fn report(&self, run: Executed) -> CorpusReport {
+        let Executed {
+            results,
+            cache,
+            retries,
+            plan,
+        } = run;
         let mut outcomes = OutcomeCounts::default();
         let mut kinds = KindCounts::default();
         for r in &results {
@@ -488,284 +649,29 @@ impl CorpusRunner {
             plan,
         }
     }
+}
 
-    /// Whether the plan needs fingerprint keys (and feature vectors):
-    /// cost-ordered dispatch keys the book, and the adaptive mode also
-    /// predicts from features. A fixed-mode corpus-order run (e.g. the
-    /// fault-audit baselines) skips the whole keying pass, exactly as
-    /// the old `cost_schedule(false)` path did.
-    fn needs_keys(&self) -> bool {
-        self.plan.cost_order || self.plan.mode == crate::PlanMode::Adaptive
-    }
+/// A per-run scratch directory for the run's store, removed when the run
+/// ends.
+struct ScratchDir(PathBuf);
 
-    /// Fingerprints every loop (concrete evaluation, no solver) to key
-    /// its cost record, and extracts the planner's structural features
-    /// in the same pass; a compile failure — or a worker crash — yields
-    /// `None` for both (unknown cost, unpredictable).
-    fn key_loops(&self, entries: &[LoopEntry]) -> (Vec<Option<u64>>, Vec<Option<LoopFeatures>>) {
-        let cfg = &self.cfg;
-        par_map(entries, self.threads, |e| {
-            strsum_cfront::compile_one(&e.source).ok().map(|func| {
-                (
-                    fingerprint_hash(&loop_fingerprint(&func, cfg.max_ex_size)),
-                    loop_features(&func, &e.source),
-                )
-            })
-        })
-        .into_iter()
-        .map(|r| match r.ok().flatten() {
-            Some((k, f)) => (Some(k), Some(f)),
-            None => (None, None),
-        })
-        .unzip()
-    }
-
-    /// Builds the run's execution plan from the spec, the persisted cost
-    /// book and this run's keys/features.
-    fn build_plan(
-        &self,
-        keys: &[Option<u64>],
-        features: &[Option<LoopFeatures>],
-        book: &CostBook,
-    ) -> Plan {
-        ExecutionPlanner::new(self.plan, book, self.threads).plan(keys, features)
-    }
-
-    fn run_plain(&self, entries: &[LoopEntry]) -> (Vec<LoopSynth>, PlanCounts) {
-        let faults = &self.fault_plan;
-        let cfg = &self.cfg;
-        let (keys, features) = if self.needs_keys() {
-            self.key_loops(entries)
-        } else {
-            (vec![None; entries.len()], vec![None; entries.len()])
-        };
-        let plan = self.build_plan(&keys, &features, &load_cost_book());
-        let raw = par_map_ordered(
-            &(0..entries.len()).collect::<Vec<usize>>(),
-            self.threads,
-            &plan.order,
-            |&i| synthesize_planned(entries[i].clone(), cfg, faults, plan.loops[i].strategy),
-        );
-        let results: Vec<LoopSynth> = entries
-            .iter()
-            .zip(raw)
-            .map(|(e, r)| resolve(e, r))
-            .collect();
-        if self.persist_costs && self.needs_keys() {
-            record_costs(&keys, &results, &plan);
-        }
-        (results, plan.counts())
-    }
-
-    /// The cached pipeline. Loops are grouped by semantic fingerprint
-    /// ([`strsum_core::loop_fingerprint`]: outcomes over the bounded
-    /// small-model input set). Only the first loop of each group — in
-    /// corpus order — is synthesised; the others take the cached program
-    /// and re-verify it against *their own* loop with the full bounded
-    /// checker ([`strsum_core::verify_summary`]), falling back to fresh
-    /// synthesis when re-verification rejects it (fingerprint collision or
-    /// poisoned entry).
-    ///
-    /// The phases are deterministic by construction: grouping follows
-    /// corpus order and each phase is a [`par_map`] whose output is
-    /// order-preserving, so cache-hit patterns never depend on thread
-    /// scheduling — the incremental-vs-scratch determinism audit holds
-    /// with the cache on.
-    fn run_cached(&self, entries: &[LoopEntry]) -> (Vec<LoopSynth>, CacheStats, PlanCounts) {
-        let cfg = &self.cfg;
-        let faults = &self.fault_plan;
-        let threads = self.threads;
-        let cache = SummaryCache::new();
-
-        // Phase A: fingerprint every loop (concrete evaluation, no
-        // solver), extracting the planner's structural features in the
-        // same pass. A fingerprint worker crash folds into the same error
-        // channel as a compile failure: both mean "no fingerprint for
-        // this loop".
-        let fingerprints: Vec<Result<(Vec<u64>, LoopFeatures), String>> =
-            par_map(entries, threads, |e| {
-                let mut span = strsum_obs::span("loop.fingerprint", "corpus");
-                if span.active() {
-                    span.arg_str("id", e.id.clone());
-                }
-                strsum_cfront::compile_one(&e.source)
-                    .map(|func| {
-                        (
-                            loop_fingerprint(&func, cfg.max_ex_size),
-                            loop_features(&func, &e.source),
-                        )
-                    })
-                    .map_err(|err| format!("does not compile: {err}"))
-            })
-            .into_iter()
-            .map(|r| r.and_then(|inner| inner))
-            .collect();
-        let keys: Vec<Option<u64>> = fingerprints
-            .iter()
-            .map(|r| r.as_ref().ok().map(|(fp, _)| fingerprint_hash(fp)))
-            .collect();
-        let features: Vec<Option<LoopFeatures>> = fingerprints
-            .iter()
-            .map(|r| r.as_ref().ok().map(|(_, f)| *f))
-            .collect();
-        let plan = self.build_plan(&keys, &features, &load_cost_book());
-
-        // Phase B: synthesise one representative per fingerprint group, in
-        // corpus order (the first loop of each group).
-        let mut seen: std::collections::HashSet<&[u64]> = std::collections::HashSet::new();
-        let mut rep_indices: Vec<usize> = Vec::new();
-        for (i, fp) in fingerprints.iter().enumerate() {
-            if let Ok((fp, _)) = fp {
-                if seen.insert(fp.as_slice()) {
-                    rep_indices.push(i);
-                }
-            }
-        }
-        // The representatives carry all the solver work, so they are the
-        // phase worth scheduling: dispatch them in the plan's order (the
-        // plan covers the full corpus; restricting its permutation to the
-        // representatives preserves their relative priorities).
-        let mut rank = vec![0usize; entries.len()];
-        for (pos, &i) in plan.order.iter().enumerate() {
-            rank[i] = pos;
-        }
-        let mut rep_order: Vec<usize> = (0..rep_indices.len()).collect();
-        rep_order.sort_by_key(|&j| rank[rep_indices[j]]);
-        let rep_results: Vec<Result<LoopSynth, String>> =
-            par_map_ordered(&rep_indices, threads, &rep_order, |&i| {
-                synthesize_planned(entries[i].clone(), cfg, faults, plan.loops[i].strategy)
-            });
-        let mut slots: Vec<Option<LoopSynth>> = entries.iter().map(|_| None).collect();
-        for (&i, result) in rep_indices.iter().zip(rep_results) {
-            let result = resolve(&entries[i], result);
-            let (fp, _) = fingerprints[i].as_ref().expect("reps have fingerprints");
-            assert!(cache.lookup(fp).is_none(), "representative misses");
-            if let Some(s) = &result.summary {
-                cache.insert(fp.clone(), s.encode());
-            }
-            slots[i] = Some(result);
-        }
-
-        // Phase C: remaining loops. Compile failures fail as usual; the
-        // rest look the cache up *from the workers* — `lookup` takes
-        // `&self`, so the populated cache is shared by reference across
-        // the pool. A hit re-verifies the summary against this loop; a
-        // miss (the group's representative failed) synthesises fresh.
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, fp) in fingerprints.iter().enumerate() {
-            if slots[i].is_some() {
-                continue;
-            }
-            match fp {
-                Err(e) => {
-                    slots[i] = Some(LoopSynth {
-                        entry: entries[i].clone(),
-                        summary: None,
-                        elapsed: Duration::ZERO,
-                        failure: Some(e.clone()),
-                        stats: SynthStats::default(),
-                        cache_hit: false,
-                        outcome: LoopOutcome::NotMemoryless,
-                    });
-                }
-                Ok(_) => pending.push(i),
-            }
-        }
-        let shared = &cache;
-        let plan_ref = &plan;
-        let verified: Vec<Result<(Option<LoopSynth>, SessionStats), String>> =
-            par_map(&pending, threads, |&idx| {
-                let (fp, _) = fingerprints[idx].as_ref().expect("pending ⇒ fingerprinted");
-                match shared.lookup(fp) {
-                    None => (
-                        Some(synthesize_planned(
-                            entries[idx].clone(),
-                            cfg,
-                            faults,
-                            plan_ref.loops[idx].strategy,
-                        )),
-                        SessionStats::default(),
-                    ),
-                    Some(bytes) => {
-                        let mut span = strsum_obs::span("loop.reverify", "corpus");
-                        if span.active() {
-                            span.arg_str("id", entries[idx].id.clone());
-                        }
-                        let start = Instant::now();
-                        let func = strsum_cfront::compile_one(&entries[idx].source)
-                            .expect("fingerprinted in phase A");
-                        let (ok, effort) = verify_summary(&func, &bytes, cfg.max_ex_size);
-                        if !ok {
-                            return (None, effort);
-                        }
-                        let summary =
-                            Summary::decode(&bytes).expect("cache holds encoded summaries");
-                        (
-                            Some(LoopSynth {
-                                entry: entries[idx].clone(),
-                                summary: Some(summary),
-                                elapsed: start.elapsed(),
-                                failure: None,
-                                stats: SynthStats {
-                                    solver: SolverTelemetry {
-                                        verify: effort,
-                                        ..SolverTelemetry::default()
-                                    },
-                                    ..SynthStats::default()
-                                },
-                                cache_hit: true,
-                                outcome: LoopOutcome::CacheHit,
-                            }),
-                            effort,
-                        )
-                    }
-                }
-            });
-
-        // Phase D: full synthesis for loops whose cached summary was
-        // rejected (collision or poison); the wasted verification effort
-        // stays on their books so totals remain honest. `par_map` slots
-        // results positionally, so `verified[j]` belongs to `pending[j]`
-        // even when the worker crashed and only the message survives.
-        let mut fallback: Vec<(usize, SessionStats)> = Vec::new();
-        for (&idx, result) in pending.iter().zip(verified) {
-            match result {
-                Err(msg) => slots[idx] = Some(crashed(entries[idx].clone(), msg)),
-                Ok((Some(r), _)) => slots[idx] = Some(r),
-                Ok((None, effort)) => {
-                    let (fp, _) = fingerprints[idx]
-                        .as_ref()
-                        .expect("verified ⇒ fingerprinted");
-                    cache.reject(fp);
-                    fallback.push((idx, effort));
-                }
-            }
-        }
-        let fallback_results = par_map(&fallback, threads, |&(i, wasted)| {
-            let mut r = synthesize_planned(entries[i].clone(), cfg, faults, plan.loops[i].strategy);
-            r.stats.solver.verify = r.stats.solver.verify.plus(&wasted);
-            r
-        });
-        for (&(i, _), result) in fallback.iter().zip(fallback_results) {
-            slots[i] = Some(resolve(&entries[i], result));
-        }
-
-        let results: Vec<LoopSynth> = slots
-            .into_iter()
-            .map(|s| s.expect("every loop is resolved by one phase"))
-            .collect();
-        if self.persist_costs && self.needs_keys() {
-            record_costs(&keys, &results, &plan);
-        }
-        (results, cache.stats(), plan.counts())
+impl ScratchDir {
+    fn new() -> ScratchDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "strsum-run-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        ScratchDir(dir)
     }
 }
 
-/// Loads the persisted per-loop cost book (`results/costs.tsv`); a
-/// missing or partially written file degrades to fewer records, never to
-/// an error — the book is a scheduling hint, not a correctness input.
-fn load_cost_book() -> CostBook {
-    CostBook::load(&results_dir().join("costs.tsv"))
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Resolves caller-supplied [`LoopSpec`]s to [`LoopEntry`]s. An id
@@ -801,75 +707,36 @@ fn resolve_loop_specs(specs: &[LoopSpec]) -> Vec<LoopEntry> {
         .collect()
 }
 
-/// The cost book's outcome tag for a loop's [`LoopOutcome`]. Cache hits
-/// and crashes are never recorded (see [`record_costs`]), so they have
-/// no tag.
-fn recorded_outcome(outcome: &LoopOutcome) -> RecordedOutcome {
-    match outcome {
-        LoopOutcome::Summarized => RecordedOutcome::Summarized,
-        LoopOutcome::NotMemoryless => RecordedOutcome::NotMemoryless,
-        LoopOutcome::BudgetExhausted(_) => RecordedOutcome::BudgetExhausted,
-        LoopOutcome::Degraded => RecordedOutcome::Degraded,
-        LoopOutcome::CacheHit | LoopOutcome::Crashed(_) => RecordedOutcome::Unknown,
+/// The [`LoopSynth`] for a resolved loop. A rejected store hit's wasted
+/// re-verification effort joins the loop's verify telemetry, so reported
+/// effort equals effort spent.
+fn resolved(entry: &LoopEntry, r: Resolution) -> LoopSynth {
+    let mut stats = r.stats;
+    if let Some(wasted) = r.rejected {
+        stats.solver.verify = stats.solver.verify.plus(&wasted);
+    }
+    LoopSynth {
+        entry: entry.clone(),
+        summary: r.summary.map(|(summary, _)| summary),
+        elapsed: r.elapsed,
+        failure: stats.failure.clone(),
+        stats,
+        cache_hit: r.outcome == LoopOutcome::CacheHit,
+        outcome: r.outcome,
     }
 }
 
-/// Merges this run's freshly observed costs into the persisted book.
-/// Only runs that opted in via [`CorpusRunner::persist_costs`] get here
-/// — the benchmark binaries are the book's producers; embedded and test
-/// runs must never rewrite the shared `results/costs.tsv`.
-/// Cache hits are skipped — a re-verification's cost says nothing about
-/// what synthesising the loop would cost — and so are crashes, whose
-/// zeroed stats would mark the loop trusted-cheap. Budget exhaustions
-/// *are* recorded (a loop that burnt its whole budget is exactly the
-/// tail the scheduler must start early next run), but tagged as capped
-/// so neither `ljf_order`'s cost ranking nor the planner's predictor
-/// mistakes the cap for a true cost.
-fn record_costs(keys: &[Option<u64>], results: &[LoopSynth], plan: &Plan) {
-    let mut fresh = CostBook::new();
-    for (i, (key, r)) in keys.iter().zip(results).enumerate() {
-        let Some(k) = *key else { continue };
-        if r.cache_hit || matches!(r.outcome, LoopOutcome::Crashed(_)) {
-            continue;
-        }
-        let total = r.stats.solver.total();
-        let strategy = plan.loops[i].strategy;
-        fresh.record(
-            k,
-            CostStat {
-                conflicts: total.conflicts,
-                wall_micros: r.elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-                outcome: recorded_outcome(&r.outcome),
-                strategy: strategy.recorded(),
-                cube_k: strategy.cube_k().min(u32::MAX as usize) as u32,
-            },
-        );
-    }
-    // Re-read at save time and merge, then rename into place: two
-    // concurrent runs can no longer silently drop each other's rows (the
-    // old load-early/overwrite-late pattern lost whichever run finished
-    // first), and a reader never sees a half-written book.
-    let path = results_dir().join("costs.tsv");
-    let mut book = CostBook::load(&path);
-    book.merge(&fresh);
-    let _ = book.save(&path);
-}
-
-/// How a fresh-synthesis [`LoopSynth`] resolved, from its structured
-/// stats. Precedence: a summary is success (degraded when minimisation
-/// was cut short); no summary with a tripped budget is that budget's
-/// exhaustion; anything else is inexpressible in either lane.
-fn classify(stats: &SynthStats, summarized: bool) -> LoopOutcome {
-    if summarized {
-        if stats.degraded {
-            LoopOutcome::Degraded
-        } else {
-            LoopOutcome::Summarized
-        }
-    } else if let Some(kind) = stats.exhausted {
-        LoopOutcome::BudgetExhausted(kind)
-    } else {
-        LoopOutcome::NotMemoryless
+/// The [`LoopSynth`] for a loop the engine refused while preparing it
+/// (a source the C frontend rejects): no summary, no stats.
+fn refused(entry: &LoopEntry, resp: SummaryResponse) -> LoopSynth {
+    LoopSynth {
+        entry: entry.clone(),
+        summary: None,
+        elapsed: Duration::ZERO,
+        failure: resp.failure,
+        stats: SynthStats::default(),
+        cache_hit: false,
+        outcome: resp.outcome,
     }
 }
 
@@ -887,14 +754,6 @@ fn crashed(entry: LoopEntry, msg: String) -> LoopSynth {
     }
 }
 
-/// Unwraps one panic-isolated `par_map` slot into its [`LoopSynth`].
-fn resolve(entry: &LoopEntry, result: Result<LoopSynth, String>) -> LoopSynth {
-    match result {
-        Ok(r) => r,
-        Err(msg) => crashed(entry.clone(), msg),
-    }
-}
-
 /// The obs counter name for an outcome (see [`strsum_obs::names`]).
 fn outcome_counter(outcome: &LoopOutcome) -> &'static str {
     match outcome {
@@ -905,193 +764,6 @@ fn outcome_counter(outcome: &LoopOutcome) -> &'static str {
         LoopOutcome::Crashed(_) => names::OUTCOME_CRASHED,
         LoopOutcome::Degraded => names::OUTCOME_DEGRADED,
     }
-}
-
-/// Applies any planned fault for `entry_id`: a planned panic unwinds
-/// right here (and is caught by the dispatching `par_map`); a forced
-/// `Unknown` or expired deadline returns a doctored config (`None` when
-/// no fault is planned) so the ordinary budget machinery classifies it.
-fn apply_fault(
-    entry_id: &str,
-    cfg: &SynthesisConfig,
-    faults: &FaultPlan,
-) -> Option<SynthesisConfig> {
-    let fault = faults.fault_for(entry_id)?;
-    strsum_obs::counter(names::FAULT_INJECTED, "corpus", 1);
-    match fault {
-        Fault::Panic => panic!("injected fault: worker panic for {entry_id}"),
-        Fault::UnknownAtQuery(n) => Some(SynthesisConfig {
-            forced_unknown_at: Some(*n),
-            ..cfg.clone()
-        }),
-        Fault::DeadlineExpiry => {
-            let mut doctored = cfg.clone();
-            doctored.budget.wall = Duration::ZERO;
-            Some(doctored)
-        }
-    }
-}
-
-/// Compiles and synthesises one corpus entry under `cfg` as given (no
-/// fault handling — see [`synthesize_entry`]), mapping every failure
-/// mode — including a source the C frontend rejects — to a per-loop
-/// `failure`, so one bad entry can never tear down a whole experiment
-/// run. With a token, the attempt runs cancellably (portfolio arms).
-fn synthesize_body(
-    entry: LoopEntry,
-    cfg: &SynthesisConfig,
-    cancel: Option<CancelToken>,
-) -> LoopSynth {
-    let mut span = strsum_obs::span("loop", "corpus");
-    if span.active() {
-        span.arg_str("id", entry.id.clone());
-    }
-    let start = Instant::now();
-    match strsum_cfront::compile_one(&entry.source) {
-        Ok(func) => {
-            let SummarizeResult { summary, stats } = match cancel {
-                None => summarize_loop(&func, cfg),
-                Some(token) => summarize_loop_with_cancel(&func, cfg, token),
-            };
-            span.arg_u64("synthesised", u64::from(summary.is_some()));
-            let outcome = classify(&stats, summary.is_some());
-            LoopSynth {
-                entry,
-                summary,
-                elapsed: start.elapsed(),
-                failure: stats.failure.clone(),
-                stats,
-                cache_hit: false,
-                outcome,
-            }
-        }
-        Err(e) => LoopSynth {
-            entry,
-            summary: None,
-            elapsed: start.elapsed(),
-            failure: Some(format!("does not compile: {e}")),
-            stats: SynthStats::default(),
-            cache_hit: false,
-            outcome: LoopOutcome::NotMemoryless,
-        },
-    }
-}
-
-/// Synthesises one corpus entry with fault handling, under `cfg`'s own
-/// `intra_loop` (the retry lane and the fixed-strategy paths).
-pub(crate) fn synthesize_entry(
-    entry: LoopEntry,
-    cfg: &SynthesisConfig,
-    faults: &FaultPlan,
-) -> LoopSynth {
-    let doctored = apply_fault(&entry.id, cfg, faults);
-    synthesize_body(entry, doctored.as_ref().unwrap_or(cfg), None)
-}
-
-/// Synthesises one corpus entry under its planned [`Strategy`]: serial
-/// and cubed strategies override `cfg.intra_loop`; a portfolio strategy
-/// races both (see [`run_portfolio`]).
-pub(crate) fn synthesize_planned(
-    entry: LoopEntry,
-    cfg: &SynthesisConfig,
-    faults: &FaultPlan,
-    strategy: Strategy,
-) -> LoopSynth {
-    match strategy {
-        Strategy::Portfolio { cubes } => run_portfolio(entry, cfg, faults, cubes),
-        _ => {
-            let k = strategy.cube_k();
-            if cfg.intra_loop == k {
-                synthesize_entry(entry, cfg, faults)
-            } else {
-                let cfg = SynthesisConfig {
-                    intra_loop: k,
-                    ..cfg.clone()
-                };
-                synthesize_entry(entry, &cfg, faults)
-            }
-        }
-    }
-}
-
-/// Races a serial arm against a `cubes`-cubed arm on scoped threads;
-/// the first finisher wins and both cancellation tokens fire, so the
-/// loser stops at its next governor stride instead of burning its whole
-/// budget.
-///
-/// Determinism: both arms are deterministic and byte-identical by the
-/// cube merge theorem, so *which* arm reports first changes only wall
-/// clock and telemetry attribution, never the program or (decisive)
-/// outcome — the same contract every other strategy honours. As
-/// everywhere else, budget-exhaustion verdicts remain wall-clock
-/// dependent; the determinism audits class those as timing races.
-///
-/// Faults are applied once, on the dispatching worker: a planned panic
-/// must unwind where `par_map` isolates it, and a doctored config
-/// applies to both arms alike.
-fn run_portfolio(
-    entry: LoopEntry,
-    cfg: &SynthesisConfig,
-    faults: &FaultPlan,
-    cubes: usize,
-) -> LoopSynth {
-    let doctored = apply_fault(&entry.id, cfg, faults);
-    let cfg = doctored.as_ref().unwrap_or(cfg);
-    let mut span = strsum_obs::span("loop.portfolio", "corpus");
-    if span.active() {
-        span.arg_str("id", entry.id.clone());
-    }
-    let arm_cfgs = [
-        SynthesisConfig {
-            intra_loop: 1,
-            ..cfg.clone()
-        },
-        SynthesisConfig {
-            intra_loop: cubes.max(2),
-            ..cfg.clone()
-        },
-    ];
-    let tokens = [CancelToken::new(), CancelToken::new()];
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, LoopSynth)>();
-    let ((arm, mut result), loser) = std::thread::scope(|scope| {
-        for (arm, arm_cfg) in arm_cfgs.iter().enumerate() {
-            let tx = tx.clone();
-            let token = tokens[arm].clone();
-            let entry = entry.clone();
-            scope.spawn(move || {
-                let r = synthesize_body(entry, arm_cfg, Some(token));
-                let _ = tx.send((arm, r));
-            });
-        }
-        drop(tx);
-        let first = rx.recv().expect("at least one arm reports");
-        for t in &tokens {
-            t.cancel();
-        }
-        // The loser stops at its next stride; the scope's implicit join
-        // bounds how long that takes.
-        (first, rx.recv().ok())
-    });
-    // The cancelled loser's partial solver effort was genuinely spent (and
-    // span-recorded), so fold it into the winner's telemetry: reported
-    // effort equals effort burned, and the bench trace↔telemetry
-    // reconciliation stays exact. Only telemetry merges — the program,
-    // outcome, and counterexamples are the winner's alone.
-    if let Some((_, lost)) = loser {
-        result.stats.solver.search = result.stats.solver.search.plus(&lost.stats.solver.search);
-        result.stats.solver.verify = result.stats.solver.verify.plus(&lost.stats.solver.verify);
-    }
-    strsum_obs::counter(
-        if arm == 0 {
-            names::PLAN_PORTFOLIO_SERIAL_WIN
-        } else {
-            names::PLAN_PORTFOLIO_CUBED_WIN
-        },
-        "corpus",
-        1,
-    );
-    span.arg_u64("serial_won", u64::from(arm == 0));
-    result
 }
 
 /// Parses `results/summaries.tsv` when it covers every entry.

@@ -1,19 +1,17 @@
 //! Parallelism must be invisible in the results: a corpus run with worker
-//! threads, intra-loop search cubes, cost-aware dispatch, an adaptive
-//! planner, or portfolio racing enabled produces byte-identical
-//! `LoopSynth` outcomes to a fully serial run — same programs, same
-//! failure verdicts, same counterexample trajectories.
+//! threads, intra-loop search cubes, cost-aware dispatch, or an adaptive
+//! planner enabled produces byte-identical `LoopSynth` outcomes to a
+//! fully serial run — same programs, same failure verdicts, same
+//! counterexample trajectories.
 //!
-//! Three layers guarantee this. Across loops, `par_map`/`par_map_ordered`
+//! Two layers guarantee this. Across loops, `par_map`/`par_map_ordered`
 //! slot every result at the loop's original index, so neither thread
 //! scheduling nor the dispatch permutation can reorder or change results.
 //! Within a loop, the cube portfolio's deterministic merge (lowest SAT
 //! cube wins, `Unknown` below it poisons the answer) returns exactly the
-//! serial canonical model. Across strategies, a portfolio race only picks
-//! *which* of two deterministic, byte-identical computations reports
-//! first, so the winner's identity is invisible in the results too. The
-//! only legitimate divergence is a verdict that raced the per-loop
-//! timeout, which this test skips rather than compares.
+//! serial canonical model. The only legitimate divergence is a verdict
+//! that raced the per-loop timeout, which this test skips rather than
+//! compares.
 
 use std::time::Duration;
 use strsum_bench::{CorpusRunner, LoopSynth, PlanSpec, RequestSpec};
@@ -89,7 +87,6 @@ fn every_plan_matches_the_serial_run_byte_for_byte() {
     for (plan, label) in [
         (PlanSpec::cubed(4), "cubed"),
         (PlanSpec::adaptive(), "adaptive"),
-        (PlanSpec::portfolio(2), "portfolio"),
     ] {
         let other = run_plan(plan);
         let compared = assert_byte_identical(&serial, &other, label);

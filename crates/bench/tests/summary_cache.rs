@@ -1,13 +1,15 @@
-//! The cross-loop summary cache's soundness contract: a cache hit is
-//! *never* trusted — it must pass the full bounded checker against the
-//! looked-up loop, and a poisoned (or fingerprint-colliding) entry is
-//! rejected and replaced by fresh synthesis.
+//! The summary store's soundness contract, as the batch runner relies
+//! on it: a store hit is *never* trusted — it must pass the full bounded
+//! checker against the requesting loop, and a poisoned (or
+//! fingerprint-colliding) entry is rejected, tombstoned and replaced by
+//! fresh synthesis.
 
 use std::time::Duration;
-use strsum_bench::{loop_specs, CorpusRunner, PlanSpec, RequestSpec};
+use strsum_bench::{loop_specs, CorpusReport, CorpusRunner, PlanSpec, RequestSpec};
 use strsum_core::{loop_fingerprint, verify_summary, LoopOutcome, SynthesisConfig};
-use strsum_corpus::{App, LoopEntry, SummaryCache};
+use strsum_corpus::{App, LoopEntry};
 use strsum_gadgets::interp::{run_bytes, Outcome};
+use strsum_server::ShardedStore;
 
 const SKIP_SPACES: &str = "char* loopFunction(char* s) { while (*s == ' ') s++; return s; }";
 
@@ -25,24 +27,29 @@ fn cfg() -> SynthesisConfig {
 }
 
 /// End-to-end poisoning: plant a wrong program under the loop's own
-/// fingerprint; the mandatory re-verification must reject it, the cache
-/// must count the rejection, and synthesis must still produce a correct
-/// summary from scratch.
+/// fingerprint; the mandatory re-verification must reject it, the
+/// rejected entry is tombstoned, and synthesis must still produce a
+/// correct summary from scratch.
 #[test]
 fn poisoned_entry_is_rejected_and_resynthesized() {
     let func = strsum_cfront::compile_one(SKIP_SPACES).unwrap();
     let fp = loop_fingerprint(&func, 3);
-    let cache = SummaryCache::new();
+    let dir = std::env::temp_dir().join(format!("strsum-poison-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ShardedStore::open(&dir, 2).unwrap();
     // `C:F` (strchr for ':') is a well-formed summary of a *different*
     // loop — exactly what a poisoned or colliding entry looks like.
-    cache.insert(fp.clone(), b"C:F".to_vec());
+    store.insert(fp.clone(), b"C:F".to_vec()).unwrap();
 
-    let hit = cache.lookup(&fp).expect("poisoned entry is found");
+    let hit = store.lookup(&fp).expect("poisoned entry is found");
     let (ok, _) = verify_summary(&func, &hit, 3);
     assert!(!ok, "re-verification must reject the poisoned entry");
-    cache.reject(&fp);
-    assert_eq!(cache.stats().rejected, 1);
-    assert_eq!(cache.stats().hits, 1);
+    store.remove(&fp).unwrap();
+    assert_eq!(store.lookup(&fp), None, "the rejected entry is tombstoned");
+    drop(store);
+    let reopened = ShardedStore::open(&dir, 2).unwrap();
+    assert_eq!(reopened.lookup(&fp), None, "the tombstone is durable");
+    std::fs::remove_dir_all(&dir).unwrap();
 
     // The fallback path: full synthesis still gets the right answer.
     let result = strsum_core::synthesize(&func, &cfg());
@@ -73,8 +80,18 @@ fn grid_evading_poison_caught_by_bounded_checker() {
     assert!(!ok);
 }
 
-/// The cached pipeline synthesises one representative per semantic
-/// fingerprint and re-verifies the cached summary for every clone.
+fn cached_run(entries: &[LoopEntry], threads: usize) -> CorpusReport {
+    CorpusRunner::new(PlanSpec::serial()).serve(
+        RequestSpec::loops(loop_specs(entries))
+            .config(cfg())
+            .threads(threads)
+            .cache(true),
+    )
+}
+
+/// In a cached run the first loop of a fingerprint group synthesises and
+/// publishes; a clone later in corpus order is a re-verified store hit
+/// with the same bytes — at any thread count.
 #[test]
 fn semantically_identical_loops_hit_the_cache() {
     let entries = vec![
@@ -90,36 +107,44 @@ fn semantically_identical_loops_hit_the_cache() {
             "char* loopFunction(char* s) { while (*s != 0 && *s != ':') s++; return s; }",
         ),
     ];
-    let report = CorpusRunner::new(PlanSpec::serial()).serve(
-        RequestSpec::loops(loop_specs(&entries))
-            .config(cfg())
-            .threads(2)
-            .cache(true),
-    );
-    let (results, stats) = (report.results, report.cache);
+    let serial = cached_run(&entries, 1);
+    let encoded = |report: &CorpusReport| -> Vec<Vec<u8>> {
+        report
+            .results
+            .iter()
+            .map(|r| r.summary.as_ref().expect("all three synthesise").encode())
+            .collect()
+    };
+    let progs = encoded(&serial);
+    let results = &serial.results;
     assert_eq!(results.len(), 3);
-    let progs: Vec<_> = results
-        .iter()
-        .map(|r| r.summary.as_ref().expect("all three synthesise").encode())
-        .collect();
-    assert_eq!(progs[0], progs[1], "clone reuses the cached summary");
-    assert!(!results[0].cache_hit, "representative is synthesised");
-    assert!(results[1].cache_hit, "clone is a verified cache hit");
-    assert!(!results[2].cache_hit, "different loop cannot hit the cache");
+    assert_eq!(progs[0], progs[1], "clone reuses the published summary");
+    assert!(!results[0].cache_hit, "first of the group is synthesised");
+    assert!(results[1].cache_hit, "clone is a verified store hit");
+    assert!(!results[2].cache_hit, "different loop cannot hit the store");
     // The outcome taxonomy distinguishes fresh synthesis from reuse.
     assert_eq!(results[0].outcome, LoopOutcome::Summarized);
     assert_eq!(results[1].outcome, LoopOutcome::CacheHit);
     assert_eq!(results[2].outcome, LoopOutcome::Summarized);
-    assert_eq!(report.outcomes.cache_hits, 1);
-    assert_eq!(report.outcomes.summarized, 2);
+    assert_eq!(serial.outcomes.cache_hits, 1);
+    assert_eq!(serial.outcomes.summarized, 2);
     assert!(
         results[1].stats.solver.verify.queries > 0,
-        "the cache hit paid for bounded re-verification"
+        "the store hit paid for bounded re-verification"
     );
-    assert_eq!(stats.hits, 1);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.misses, 2);
+    assert_eq!(serial.cache.hits, 1);
+    assert_eq!(serial.cache.rejected, 0);
+    assert_eq!(serial.cache.misses, 2);
     // Behavioural spot-checks on the reused summary.
     assert_eq!(run_bytes(&progs[1], Some(b"   ab")), Outcome::Ptr(3));
     assert_eq!(run_bytes(&progs[2], Some(b"ab:c")), Outcome::Ptr(2));
+
+    // The hit pattern is a function of corpus order, not of threads.
+    let parallel = cached_run(&entries, 4);
+    assert_eq!(encoded(&parallel), progs);
+    for (s, p) in results.iter().zip(&parallel.results) {
+        assert_eq!(s.outcome, p.outcome, "{}", s.entry.id);
+        assert_eq!(s.cache_hit, p.cache_hit, "{}", s.entry.id);
+    }
+    assert_eq!(parallel.cache, serial.cache);
 }

@@ -143,9 +143,7 @@ pub fn synthesize(func: &strsum_ir::Func, cfg: &SynthesisConfig) -> SynthesisRes
 /// The token reaches every solver and the symbolic engine of the attempt
 /// (cube forks included), so cancelling it from another thread stops the
 /// run at the next governor stride and the attempt reports wall-budget
-/// exhaustion. This is the shared entry point for portfolio racing: each
-/// arm runs under its own token, and the first finisher cancels the
-/// rest. Results are unaffected by *when* (or whether) the token fires —
+/// exhaustion. Results are unaffected by *when* (or whether) the token fires —
 /// a run that completes before cancellation returns exactly what
 /// [`synthesize`] would.
 pub fn synthesize_with_cancel(

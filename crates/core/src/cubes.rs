@@ -39,9 +39,8 @@
 //! so an externally cancelled attempt
 //! ([`SynthSession::with_cancel`](crate::session::SynthSession::with_cancel)
 //! / [`synthesize_with_cancel`](crate::cegis::synthesize_with_cancel))
-//! stops all of its cube workers too. That is what lets a portfolio
-//! scheduler race a serial arm against a cubed arm and abandon the loser
-//! wholesale: one token per arm reaches every solver the arm ever forks.
+//! stops all of its cube workers too: one token reaches every solver the
+//! attempt ever forks.
 
 use strsum_smt::{CheckResult, Interrupt, Lit, Session, SessionStats, TermId, TermPool};
 

@@ -58,8 +58,8 @@ pub use equivalence::{check_equivalence, verify_summary, EquivalenceResult};
 pub use memoryless::{check_memoryless, Direction, MemorylessReport};
 pub use oracle::{LoopOracle, OracleOutcome};
 pub use recur::{
-    summarize_loop, summarize_loop_with_cancel, verify_closed_form, CfValue, ClosedForm,
-    SummarizeResult, Summary, SummaryKind, CLOSED_FORM_TAG,
+    summarize_loop, verify_closed_form, CfValue, ClosedForm, SummarizeResult, Summary, SummaryKind,
+    CLOSED_FORM_TAG,
 };
 pub use screen::{loop_alphabet, loop_fingerprint, ConcreteScreen, ScreenStats, ScreenVerdict};
 pub use session::{SolverTelemetry, SynthSession};

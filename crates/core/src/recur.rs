@@ -32,8 +32,7 @@
 //! conservative — any shape it cannot prove it rejects — and is *not*
 //! trusted: every candidate is verified before it becomes a summary.
 
-use crate::budget::CancelToken;
-use crate::cegis::{synthesize_with_cancel, SynthStats, SynthesisConfig};
+use crate::cegis::{synthesize, SynthStats, SynthesisConfig};
 use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
@@ -1542,18 +1541,7 @@ pub struct SummarizeResult {
 /// gadget lane's failure untouched, so callers classify it exactly as
 /// before ([`LoopOutcome::NotMemoryless`](crate::budget::LoopOutcome)).
 pub fn summarize_loop(func: &Func, cfg: &SynthesisConfig) -> SummarizeResult {
-    summarize_loop_with_cancel(func, cfg, CancelToken::new())
-}
-
-/// [`summarize_loop`] with an externally owned cancellation token (the
-/// token governs the gadget lane; the recurrence lane's work is bounded —
-/// one symbolic run and one canonical SAT check).
-pub fn summarize_loop_with_cancel(
-    func: &Func,
-    cfg: &SynthesisConfig,
-    cancel: CancelToken,
-) -> SummarizeResult {
-    let r = synthesize_with_cancel(func, cfg, cancel);
+    let r = synthesize(func, cfg);
     let mut stats = r.stats;
     if let Some(p) = r.program {
         return SummarizeResult {

@@ -134,7 +134,7 @@ pub(crate) fn loop_const_bytes(func: &Func) -> Vec<u8> {
     out
 }
 
-/// Semantic fingerprint of a loop for the cross-loop summary cache: its
+/// Semantic fingerprint of a loop for the cross-loop summary store: its
 /// abstract alphabet followed by its [`strsum_symex::loop_signature`]
 /// over that alphabet (outcomes on NULL and on every grid string). The
 /// alphabet prefix keeps signatures over different grids from ever

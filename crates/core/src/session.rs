@@ -131,11 +131,8 @@ impl<'f> SynthSession<'f> {
     /// engine, the search and verify solvers, every cube fork (clones
     /// share one flag), and the between-iteration checks.
     ///
-    /// This is the entry point portfolio racers use — each arm gets its
-    /// own token so the scheduler can stop the losing arm the moment a
-    /// winner reports, and a pre-cancelled token makes the session stop
-    /// at the first governor stride, surfacing as wall-budget
-    /// exhaustion.
+    /// A pre-cancelled token makes the session stop at the first
+    /// governor stride, surfacing as wall-budget exhaustion.
     ///
     /// # Errors
     ///
@@ -741,8 +738,7 @@ mod tests {
     #[test]
     fn external_cancel_stops_the_attempt_as_wall_exhaustion() {
         // A pre-cancelled external token must stop the run at the first
-        // governor stride and surface as budget exhaustion — the same
-        // verdict a portfolio loser reports after the winner cancels it.
+        // governor stride and surface as budget exhaustion.
         let f = compile_one("char* f(char* s) { while (*s != 0 && *s != ':') s++; return s; }")
             .unwrap();
         let token = CancelToken::new();
@@ -758,8 +754,7 @@ mod tests {
     #[test]
     fn external_token_is_shared_not_copied() {
         // with_cancel must wire the caller's token, not a fresh one:
-        // cancelling the caller's clone mid-flight is the portfolio
-        // contract.
+        // cancelling the caller's clone mid-flight must stop the run.
         let f = compile_one("char* f(char* s) { while (*s) s++; return s; }").unwrap();
         let token = CancelToken::new();
         let sess = SynthSession::with_cancel(&f, cfg(true), token.clone()).unwrap();

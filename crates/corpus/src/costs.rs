@@ -1,138 +1,13 @@
-//! Cross-loop summary cache.
+//! The persisted per-loop cost book.
 //!
-//! Many corpus loops are semantically identical up to renaming (the same
-//! skip-whitespace idiom appears in bash, git, sed, …), so synthesising a
-//! summary for one should make the others free. The cache is keyed by the
-//! loop's *semantic fingerprint* — its return values over the bounded
-//! small-model input set, as computed by `strsum_symex::loop_signature` —
-//! and stores the encoded gadget program that was synthesised for the
-//! first loop with that fingerprint.
-//!
-//! A fingerprint match is strong evidence, not proof: the grid is finite
-//! and two different loops can agree on it. The cache therefore never
-//! vouches for a hit. Callers MUST re-verify every looked-up program with
-//! the bounded equivalence checker against the *new* loop before using it,
-//! and report failures back via [`SummaryCache::reject`] so a poisoned or
-//! colliding entry is counted and the caller falls back to full synthesis.
-//! The small-model theorem stays the sole soundness root.
+//! Every fresh synthesis leaves a [`CostStat`] row keyed by the loop's
+//! [`fingerprint_hash`]: what it cost, how it ended and how it was
+//! executed. Schedulers read the book to dispatch expensive loops first
+//! and the planner trains its cost model on it; the summaries themselves
+//! live in the summary store (`strsum_server::ShardedStore`), which both
+//! the daemon and the batch runner use.
 
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
-
-/// Counters for cache effectiveness, reported by the benchmarks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a candidate summary (before re-verification).
-    pub hits: usize,
-    /// Lookups that found nothing.
-    pub misses: usize,
-    /// Hits whose program failed re-verification against the new loop
-    /// (fingerprint collision or poisoned entry) and were discarded.
-    pub rejected: usize,
-}
-
-impl strsum_obs::ToJson for CacheStats {
-    /// Flat object, field order fixed — the byte-identical replacement for
-    /// the old hand-rolled `cache_json` emitter in `strsum-bench`.
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"rejected\":{}}}",
-            self.hits, self.misses, self.rejected
-        )
-    }
-}
-
-/// Fingerprint-keyed store of synthesised summaries. See the module docs
-/// for the mandatory re-verification contract.
-///
-/// Every method takes `&self`: the entry map sits behind an `RwLock` and
-/// the counters are atomics, so one cache instance can be shared by
-/// reference across `par_map` workers and server worker threads alike —
-/// concurrent lookups proceed in parallel, and `insert`/`reject` no
-/// longer force mutation to a single-threaded phase boundary (they did
-/// until PR 8, which is why the runner had distinct lookup/fallback
-/// phases around every `&mut` call site).
-#[derive(Debug, Default)]
-pub struct SummaryCache {
-    entries: RwLock<HashMap<Vec<u64>, Vec<u8>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    rejected: AtomicUsize,
-}
-
-impl SummaryCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up the summary previously stored for `fingerprint`. The
-    /// returned bytes are *unverified* with respect to the caller's loop.
-    pub fn lookup(&self, fingerprint: &[u64]) -> Option<Vec<u8>> {
-        let found = self
-            .entries
-            .read()
-            .expect("summary cache lock poisoned")
-            .get(fingerprint)
-            .cloned();
-        match found {
-            Some(prog) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                strsum_obs::counter("cache.hit", "corpus", 1);
-                Some(prog)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                strsum_obs::counter("cache.miss", "corpus", 1);
-                None
-            }
-        }
-    }
-
-    /// Stores `program` (encoded gadget bytes) as the summary for
-    /// `fingerprint`, replacing any previous entry.
-    pub fn insert(&self, fingerprint: Vec<u64>, program: Vec<u8>) {
-        self.entries
-            .write()
-            .expect("summary cache lock poisoned")
-            .insert(fingerprint, program);
-    }
-
-    /// Records that a looked-up entry failed re-verification, and evicts
-    /// it so later lookups don't keep paying for the same bad entry.
-    pub fn reject(&self, fingerprint: &[u64]) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        strsum_obs::counter("cache.reject", "corpus", 1);
-        self.entries
-            .write()
-            .expect("summary cache lock poisoned")
-            .remove(fingerprint);
-    }
-
-    /// Effectiveness counters accumulated so far.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of distinct fingerprints currently stored.
-    pub fn len(&self) -> usize {
-        self.entries
-            .read()
-            .expect("summary cache lock poisoned")
-            .len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// How the run that produced a [`CostStat`] row ended.
 ///
@@ -188,8 +63,8 @@ impl RecordedOutcome {
 
 /// Which execution strategy produced a [`CostStat`] row.
 ///
-/// Cost observed under cube-and-conquer or a portfolio race is not
-/// directly comparable to serial cost (cubes add setup overhead and
+/// Cost observed under cube-and-conquer is not directly comparable to
+/// serial cost (cubes add setup overhead and
 /// change conflict totals), so the predictor needs to know how a number
 /// was measured before extrapolating from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -199,8 +74,6 @@ pub enum RecordedStrategy {
     Serial,
     /// Cube-and-conquer over `cube_k` first-byte ranges.
     Cubed,
-    /// A serial-vs-cubed race; the recorded cost is the winner's.
-    Portfolio,
 }
 
 impl RecordedStrategy {
@@ -209,7 +82,6 @@ impl RecordedStrategy {
         match self {
             RecordedStrategy::Serial => "serial",
             RecordedStrategy::Cubed => "cubed",
-            RecordedStrategy::Portfolio => "portfolio",
         }
     }
 
@@ -219,7 +91,6 @@ impl RecordedStrategy {
     pub fn parse(s: &str) -> RecordedStrategy {
         match s {
             "cubed" => RecordedStrategy::Cubed,
-            "portfolio" => RecordedStrategy::Portfolio,
             _ => RecordedStrategy::Serial,
         }
     }
@@ -485,27 +356,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_miss_reject_accounting() {
-        let cache = SummaryCache::new();
-        let fp = vec![7u64, 0, 1, 2];
-        assert_eq!(cache.lookup(&fp), None);
-        cache.insert(fp.clone(), b"P \0F".to_vec());
-        assert_eq!(cache.lookup(&fp), Some(b"P \0F".to_vec()));
-        cache.reject(&fp);
-        // Rejection evicts: the next lookup is a miss again.
-        assert_eq!(cache.lookup(&fp), None);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 2,
-                rejected: 1
-            }
-        );
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn cost_book_round_trips_sorted() {
         let mut book = CostBook::new();
         book.record(
@@ -601,27 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_shareable_across_threads() {
-        // `&self` mutation: concurrent inserts/lookups through one shared
-        // reference, the server-worker usage pattern.
-        let cache = SummaryCache::new();
-        std::thread::scope(|scope| {
-            for t in 0u64..4 {
-                let cache = &cache;
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        let fp = vec![t, i];
-                        cache.insert(fp.clone(), vec![t as u8, i as u8]);
-                        assert_eq!(cache.lookup(&fp), Some(vec![t as u8, i as u8]));
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 200);
-        assert_eq!(cache.stats().hits, 200);
-    }
-
-    #[test]
     fn cost_book_merge_and_atomic_save() {
         let dir = std::env::temp_dir().join(format!("strsum-costbook-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -675,15 +504,16 @@ mod tests {
         ] {
             assert_eq!(RecordedOutcome::parse(o.label()), o);
         }
-        for s in [
-            RecordedStrategy::Serial,
-            RecordedStrategy::Cubed,
-            RecordedStrategy::Portfolio,
-        ] {
+        for s in [RecordedStrategy::Serial, RecordedStrategy::Cubed] {
             assert_eq!(RecordedStrategy::parse(s.label()), s);
         }
         assert_eq!(RecordedOutcome::parse("wat"), RecordedOutcome::Unknown);
         assert_eq!(RecordedStrategy::parse("wat"), RecordedStrategy::Serial);
+        // Rows from books written while portfolio racing existed.
+        assert_eq!(
+            RecordedStrategy::parse("portfolio"),
+            RecordedStrategy::Serial
+        );
     }
 
     #[test]

@@ -16,16 +16,15 @@
 //! the surrounding non-memoryless loops with category counts matching the
 //! per-filter deltas of Table 2.
 
-pub mod cache;
+pub mod costs;
 pub mod db;
 pub mod filter;
 pub mod manual;
 pub mod plan;
 pub mod population;
 
-pub use cache::{
-    fingerprint_hash, CacheStats, CostBook, CostStat, RecordedOutcome, RecordedStrategy,
-    SummaryCache, COST_BOOK_HEADER,
+pub use costs::{
+    fingerprint_hash, CostBook, CostStat, RecordedOutcome, RecordedStrategy, COST_BOOK_HEADER,
 };
 pub use db::{corpus, stateful_corpus, App, LoopEntry, APPS};
 pub use filter::{filter_report, passes_automatic_filters, FilterStage};

@@ -6,39 +6,31 @@
 //! exactly where cubes pay off. The fix is to stop choosing one strategy
 //! for the whole corpus. [`ExecutionPlanner`] consults the persisted
 //! [`CostBook`] — and, for loops with no record, a [`VecGp`] regression
-//! over cheap structural features — and assigns each loop one of three
+//! over cheap structural features — and assigns each loop one of two
 //! strategies:
 //!
 //! - [`Strategy::Serial`] — cheap (or unknown-cheap) loops skip all cube
-//!   setup. On a host with no spare cores this is every loop: cubes and
-//!   portfolio arms can only steal time from sibling workers there.
+//!   setup. On a host with no spare cores this is every loop: cubes can
+//!   only steal time from sibling workers there.
 //! - [`Strategy::Cubed`] — predicted-expensive loops split each search
 //!   query into `k` cubes, with `k` scaled to the predicted cost and
 //!   clamped to the spare core budget.
-//! - [`Strategy::Portfolio`] — loops whose prediction is *uncertain*
-//!   race a serial arm against a cubed arm; first finisher wins and the
-//!   loser is cancelled (see the bench runner's portfolio executor). The
-//!   hedge costs one spare worker but caps the damage of a wrong
-//!   prediction.
 //!
 //! The planner only ever changes *wall clock*: every strategy produces
 //! byte-identical summaries (cubes by the deterministic-merge theorem in
-//! [`strsum_core::cubes`]; the portfolio because both arms are
-//! deterministic and agree, so whichever reports first carries the same
-//! answer). Decisions are pure functions of the spec, the book, the
-//! feature vectors and the core/thread counts — no randomness, no clock
-//! reads — so a plan is reproducible for a given book.
+//! [`strsum_core::cubes`]). Decisions are pure functions of the spec, the
+//! book, the feature vectors and the core/thread counts — no randomness,
+//! no clock reads — so a plan is reproducible for a given book.
 //!
 //! This module decides; executors elsewhere act on the decision. It
 //! lives in `strsum-corpus` next to the [`CostBook`] it reads so that
-//! *both* executors — the batch `CorpusRunner` (via `strsum-bench`,
-//! which re-exports everything here) and the `strsum-server` daemon's
-//! cross-request scheduler — share one set of cutoffs, one feature
-//! schema, and one fitted-model implementation. A cost the daemon
+//! *both* executors — the batch `CorpusRunner` and the `strsum-server`
+//! daemon's cross-request scheduler — share one set of cutoffs, one
+//! feature schema, and one fitted-model implementation. A cost the daemon
 //! records teaches the batch planner and vice versa, because there is
 //! exactly one vocabulary for "predicted expensive".
 
-use crate::cache::{CostBook, RecordedStrategy};
+use crate::costs::{CostBook, RecordedStrategy};
 use strsum_gp::{VecGp, VecKernel};
 use strsum_obs::{names, ToJson};
 
@@ -80,22 +72,14 @@ pub enum Strategy {
     Serial,
     /// Cube-and-conquer with this many cubes per search query.
     Cubed(usize),
-    /// Race a serial arm against a `cubes`-cubed arm; first finisher
-    /// wins, loser cancelled.
-    Portfolio {
-        /// Cube count of the cubed arm.
-        cubes: usize,
-    },
 }
 
 impl Strategy {
-    /// The cube count the strategy runs (1 for serial; the cubed arm's
-    /// for a portfolio).
+    /// The cube count the strategy runs (1 for serial).
     pub fn cube_k(self) -> usize {
         match self {
             Strategy::Serial => 1,
             Strategy::Cubed(k) => k,
-            Strategy::Portfolio { cubes } => cubes,
         }
     }
 
@@ -105,7 +89,6 @@ impl Strategy {
         match self {
             Strategy::Serial => RecordedStrategy::Serial,
             Strategy::Cubed(_) => RecordedStrategy::Cubed,
-            Strategy::Portfolio { .. } => RecordedStrategy::Portfolio,
         }
     }
 }
@@ -132,7 +115,8 @@ pub struct PlanCounts {
     pub serial: usize,
     /// Loops planned cubed.
     pub cubed: usize,
-    /// Loops planned as portfolio races.
+    /// Always 0: the portfolio tier is gone. Kept, and still reported,
+    /// only because the `profile` benchmark reads the field.
     pub portfolio: usize,
     /// Loops whose cost estimate came from the GP model.
     pub modeled: usize,
@@ -167,7 +151,6 @@ impl Plan {
             match lp.strategy {
                 Strategy::Serial => c.serial += 1,
                 Strategy::Cubed(_) => c.cubed += 1,
-                Strategy::Portfolio { .. } => c.portfolio += 1,
             }
             c.modeled += usize::from(lp.modeled);
         }
@@ -187,10 +170,6 @@ pub const CUBE8_CUTOFF_MICROS: u64 = 4_000_000;
 /// — below this, posterior variance is all prior and predictions would
 /// be noise.
 pub const MIN_TRAIN: usize = 4;
-/// Log-space posterior standard deviation above which a model-predicted
-/// expensive loop is hedged with a portfolio race instead of committed
-/// to cubes (e^0.9 ≈ 2.5× multiplicative uncertainty).
-pub const PORTFOLIO_SD: f64 = 0.9;
 
 /// The cubed tier for a predicted cost, clamped to a spare-core budget:
 /// serial below [`SERIAL_CUTOFF_MICROS`], then 2/4/8 cubes by the
@@ -303,8 +282,7 @@ impl<'b> ExecutionPlanner<'b> {
     }
 
     /// Cores per corpus worker beyond the worker itself — the budget
-    /// cube workers and portfolio arms can draw on without stealing from
-    /// sibling loops. 1 means "no spare": intra-loop parallelism would
+    /// cube workers can draw on without stealing from sibling loops. 1 means "no spare": intra-loop parallelism would
     /// only oversubscribe the host.
     fn spare(&self) -> usize {
         (self.cores / self.threads).max(1)
@@ -341,14 +319,6 @@ impl<'b> ExecutionPlanner<'b> {
                 };
                 keys.len()
             ],
-            PlanMode::Portfolio(k) => vec![
-                LoopPlan {
-                    strategy: Strategy::Portfolio { cubes: k.max(2) },
-                    predicted_micros: None,
-                    modeled: false,
-                };
-                keys.len()
-            ],
             PlanMode::Adaptive => self.adaptive(keys, features),
         };
         let plan = Plan { order, loops };
@@ -357,13 +327,11 @@ impl<'b> ExecutionPlanner<'b> {
             span.arg_str("mode", self.spec.mode.label().to_string());
             span.arg_u64("serial", counts.serial as u64);
             span.arg_u64("cubed", counts.cubed as u64);
-            span.arg_u64("portfolio", counts.portfolio as u64);
             span.arg_u64("modeled", counts.modeled as u64);
         }
         for (name, n) in [
             (names::PLAN_SERIAL, counts.serial),
             (names::PLAN_CUBED, counts.cubed),
-            (names::PLAN_PORTFOLIO, counts.portfolio),
             (names::PLAN_MODELED, counts.modeled),
         ] {
             if n > 0 {
@@ -388,10 +356,8 @@ impl<'b> ExecutionPlanner<'b> {
     ///   bound, so the loop is known-expensive: top cube tier for the
     ///   capped wall;
     /// - any other book row → the recorded wall is the estimate;
-    /// - no row, fitted model → predict from features; hedge with a
-    ///   portfolio when the posterior is wide (a wrong "expensive" call
-    ///   would waste cores; a wrong "cheap" call would stretch the
-    ///   makespan — racing caps both);
+    /// - no row, fitted model → predict from features and tier the
+    ///   prediction;
     /// - no row, no model (cold start) → serial, the no-overhead
     ///   default.
     fn adaptive(&self, keys: &[Option<u64>], features: &[Option<LoopFeatures>]) -> Vec<LoopPlan> {
@@ -423,19 +389,9 @@ impl<'b> ExecutionPlanner<'b> {
                     },
                     None => match (&model, feats) {
                         (Some(m), Some(f)) => {
-                            let (mu, sd) = m.predict(f);
-                            let predicted = mu.exp().min(u64::MAX as f64) as u64;
-                            let strategy = if sd > PORTFOLIO_SD
-                                && predicted >= SERIAL_CUTOFF_MICROS / 2
-                            {
-                                Strategy::Portfolio {
-                                    cubes: self.tier(predicted.max(SERIAL_CUTOFF_MICROS)).cube_k(),
-                                }
-                            } else {
-                                self.tier(predicted)
-                            };
+                            let predicted = m.predict_micros(f);
                             LoopPlan {
-                                strategy,
+                                strategy: self.tier(predicted),
                                 predicted_micros: Some(predicted),
                                 modeled: true,
                             }
@@ -562,14 +518,8 @@ mod tests {
             .with_cores(8)
             .plan(&keys, &features);
         assert!(cubed.loops.iter().all(|l| l.strategy == Strategy::Cubed(4)));
-        let pf = ExecutionPlanner::new(PlanSpec::portfolio(2), &book, 2)
-            .with_cores(8)
-            .plan(&keys, &features);
-        assert!(pf
-            .loops
-            .iter()
-            .all(|l| l.strategy == Strategy::Portfolio { cubes: 2 }));
-        assert_eq!(pf.counts().portfolio, 3);
+        assert_eq!(cubed.counts().cubed, 3);
+        assert_eq!(cubed.counts().portfolio, 0);
     }
 
     #[test]

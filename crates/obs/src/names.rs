@@ -33,14 +33,8 @@ pub const COSTBOOK_DROPPED: &str = "costbook.dropped";
 pub const PLAN_SERIAL: &str = "plan.serial";
 /// The execution planner assigned one loop a cubed strategy.
 pub const PLAN_CUBED: &str = "plan.cubed";
-/// The execution planner assigned one loop the portfolio strategy.
-pub const PLAN_PORTFOLIO: &str = "plan.portfolio";
 /// One loop's cost was predicted by the GP regression (no book row).
 pub const PLAN_MODELED: &str = "plan.modeled";
-/// A portfolio race resolved with the serial arm first.
-pub const PLAN_PORTFOLIO_SERIAL_WIN: &str = "plan.portfolio.serial_win";
-/// A portfolio race resolved with the cubed arm first.
-pub const PLAN_PORTFOLIO_CUBED_WIN: &str = "plan.portfolio.cubed_win";
 
 /// Corrupt/truncated append-log lines dropped by one summary-store open.
 pub const STORE_DROPPED: &str = "store.dropped";

@@ -1,47 +1,49 @@
-//! The per-request summary engine: the governor lifecycle from the
-//! batch runner, rehosted behind the wire vocabulary and the persistent
-//! store.
+//! The per-loop summary engine: the one synthesis lifecycle, behind the
+//! wire vocabulary and the persistent store.
 //!
 //! One request runs cfront → automatic filters → store lookup →
-//! (mandatory re-verification | synthesis) → store insert, exactly the
-//! phases `CorpusRunner` runs per loop, so a daemon answer is
-//! byte-identical to a batch answer for the same source and budget (the
-//! `serve_audit` bin gates this). The soundness rule survives the move
-//! to a persistent store unchanged: **every** store hit is re-verified
+//! (mandatory re-verification | synthesis) → store insert. The daemon
+//! serves requests through it, and the batch `CorpusRunner` runs every
+//! loop through the same two halves, so a daemon answer and a batch
+//! answer for the same source and budget are one code path by
+//! construction. The soundness rule: **every** store hit is re-verified
 //! by the bounded checker against the requesting loop before it is
 //! served, and a failed re-verification tombstones the entry and falls
 //! back to fresh synthesis.
 //!
-//! For the daemon's cross-request scheduler the lifecycle is split at
-//! its natural pipeline boundary: [`Engine::prepare`] runs the cheap
-//! front half (decode → compile → fingerprint → store-presence +
-//! cost-estimate), and [`Engine::finish`] runs the expensive back half
-//! (re-verified store hit | synthesis → publish). [`Engine::handle`] is
-//! the two composed — the serial path every correctness test and the
-//! fixed-pool baseline exercise. Scheduling can therefore reorder
-//! *between* the halves without touching what either half computes, so
-//! responses stay byte-identical whatever the queue does.
+//! The lifecycle is split at its natural pipeline boundary:
+//! [`Engine::prepare`] runs the cheap front half (decode → compile →
+//! fingerprint → store-presence + cost-estimate), and
+//! [`Engine::resolve`] runs the expensive back half (re-verified store
+//! hit | synthesis → publish) and returns a typed [`Resolution`].
+//! [`Engine::finish`] renders that resolution as the wire response, and
+//! [`Engine::handle`] composes the halves — the serial path every
+//! correctness test and the fixed-pool baseline exercise. Scheduling can
+//! therefore reorder *between* the halves without touching what either
+//! half computes, so responses stay byte-identical whatever the queue
+//! does.
 //!
-//! Every fresh synthesis is also recorded into a [`CostBook`] — the
-//! same rows, tags and exclusions as the batch runner's
-//! `record_costs` — kept live in memory for the scheduler's predictions
-//! and merged into `<store>/costs.tsv` on shutdown via the atomic
-//! load-merge-rename save, so served traffic trains the planner exactly
-//! like batch runs do.
+//! Every fresh synthesis is also recorded into a [`CostBook`], kept live
+//! in memory for the scheduler's predictions and merged into a book on
+//! disk via the atomic load-merge-rename save ([`Engine::save_costs`] for
+//! the daemon's `<store>/costs.tsv`, [`Engine::merge_costs_into`] for
+//! the batch runner's opt-in write-back), so served and batch traffic
+//! train the planner alike.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use strsum_api::{Cost, Origin, PlanMode, SourceSpec, SummaryRequest, SummaryResponse};
+use strsum_api::{Origin, PlanMode, SourceSpec, SummaryRequest, SummaryResponse};
 use strsum_core::{
-    loop_fingerprint, summarize_loop, verify_summary, LoopOutcome, SummarizeResult, Summary,
-    SynthesisConfig,
+    loop_fingerprint, summarize_loop, verify_summary, LoopOutcome, SolverTelemetry,
+    SummarizeResult, Summary, SynthStats, SynthesisConfig,
 };
 use strsum_corpus::plan::{loop_features, CostModel, LoopFeatures};
 use strsum_corpus::{fingerprint_hash, CostBook, CostStat, RecordedOutcome, RecordedStrategy};
 use strsum_obs::names;
+use strsum_smt::SessionStats;
 
 use crate::store::ShardedStore;
 
@@ -160,6 +162,41 @@ impl PreparedTask {
     pub fn priority(&self) -> strsum_api::Priority {
         self.req.priority
     }
+
+    /// The planner's structural features of the compiled loop.
+    pub fn features(&self) -> LoopFeatures {
+        self.features
+    }
+
+    /// The synthesis configuration the back half will run under, for
+    /// harness-side doctoring (the batch runner's injected faults).
+    pub fn config_mut(&mut self) -> &mut SynthesisConfig {
+        &mut self.cfg
+    }
+}
+
+/// How [`Engine::resolve`] settled one task: the back half of the
+/// lifecycle as a typed value, before [`Engine::finish`] renders it as a
+/// wire response.
+#[derive(Debug, Clone)]
+pub struct Resolution {
+    /// The loop's outcome; `CacheHit` exactly when a store hit was
+    /// re-verified and served.
+    pub outcome: LoopOutcome,
+    /// The summary with its encoded bytes. A served hit carries the
+    /// stored bytes verbatim.
+    pub summary: Option<(Summary, Vec<u8>)>,
+    /// The fresh synthesis's full statistics, screen counters included.
+    /// A served hit carries only its re-verification effort, as
+    /// `solver.verify`.
+    pub stats: SynthStats,
+    /// Synthesis time, or re-verification time for a served hit.
+    pub elapsed: Duration,
+    /// The effort a store hit spent failing re-verification before the
+    /// fresh synthesis in `stats` ran; `None` when no hit was rejected.
+    /// Kept apart from `stats` so the wire telemetry stays the
+    /// synthesis's own.
+    pub rejected: Option<SessionStats>,
 }
 
 /// The request engine: a sharded store plus the synthesis lifecycle.
@@ -245,18 +282,24 @@ impl Engine {
         &self.book_path
     }
 
-    /// Merges this lifetime's fresh cost observations into the book on
-    /// disk — load at save time, merge, atomic rename — so concurrent
+    /// Merges this lifetime's fresh cost observations into the book at
+    /// [`Engine::cost_book_path`].
+    pub fn save_costs(&self) -> std::io::Result<()> {
+        self.merge_costs_into(&self.book_path)
+    }
+
+    /// Merges this lifetime's fresh cost observations into the book at
+    /// `path` — load at save time, merge, atomic rename — so concurrent
     /// writers (another daemon, a batch run pointed at the same file)
     /// never lose each other's rows. No-op when nothing was recorded.
-    pub fn save_costs(&self) -> std::io::Result<()> {
+    pub fn merge_costs_into(&self, path: &Path) -> std::io::Result<()> {
         let fresh = self.fresh.lock().expect("fresh cost book lock");
         if fresh.is_empty() {
             return Ok(());
         }
-        let mut disk = CostBook::load(&self.book_path);
+        let mut disk = CostBook::load(path);
         disk.merge(&fresh);
-        disk.save(&self.book_path)
+        disk.save(path)
     }
 
     /// The scheduler's cost estimate for a fingerprint hash: a book row
@@ -297,14 +340,13 @@ impl Engine {
         cfg.theory_fast_path = req.flags.theory_fast_path;
         if let Some(plan) = req.plan {
             // Per-request execution: serial and cubed run as asked;
-            // adaptive defers to the daemon scheduler's core-lease grant
-            // (folded in by `finish`), and portfolio needs racing arms
-            // the per-request path doesn't spawn, so both start from
-            // serial — byte-identical by the determinism contract, only
-            // wall clock differs.
+            // adaptive starts from serial and defers to the daemon
+            // scheduler's core-lease grant (folded in by `resolve`) —
+            // byte-identical by the determinism contract, only wall
+            // clock differs.
             cfg.intra_loop = match plan.mode {
                 PlanMode::Cubed(k) => k,
-                PlanMode::Serial | PlanMode::Adaptive | PlanMode::Portfolio(_) => 1,
+                PlanMode::Serial | PlanMode::Adaptive => 1,
             };
         }
         cfg
@@ -381,15 +423,45 @@ impl Engine {
         })
     }
 
+    /// The back half of the lifecycle, rendered as the wire response:
+    /// [`Engine::resolve`] plus the response fields. Response
+    /// `cost.wall_micros` is service time (preparation plus this call),
+    /// never queue wait.
+    pub fn finish(&self, task: PreparedTask, granted_cubes: usize) -> SummaryResponse {
+        let start = Instant::now();
+        let prep_micros = task.prep_micros;
+        let id = task.req.id.clone();
+        let r = self.resolve(task, granted_cubes);
+        let mut resp = SummaryResponse::new(id, r.outcome);
+        if resp.outcome == LoopOutcome::CacheHit {
+            resp.origin = Origin::Store;
+            resp.reverified = true;
+        }
+        resp.failure = r.stats.failure;
+        resp.cost.conflicts = r.stats.solver.total().conflicts;
+        resp.telemetry = Some(r.stats.solver);
+        if let Some((summary, bytes)) = r.summary {
+            // Surface the lane on the wire for closed forms; gadget
+            // answers keep the fields omitted (v1-compatible,
+            // `summary_kind()` derives Gadget).
+            if summary.closed_form().is_some() {
+                resp.kind = Some(summary.kind());
+                resp.closed_form = Some(bytes.clone());
+            }
+            resp.summary = Some(bytes);
+        }
+        resp.cost.wall_micros = prep_micros
+            .saturating_add(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+        resp
+    }
+
     /// The back half of the lifecycle: store lookup with mandatory
     /// re-verification, fresh synthesis on miss, publish, and cost
     /// recording. `granted_cubes` is the scheduler's core-lease grant:
     /// values above the request's own `intra_loop` raise it (the cube
     /// merge theorem keeps the bytes identical at any k); 1 grants
-    /// nothing. Response `cost.wall_micros` is service time (preparation
-    /// plus this call), never queue wait.
-    pub fn finish(&self, task: PreparedTask, granted_cubes: usize) -> SummaryResponse {
-        let start = Instant::now();
+    /// nothing.
+    pub fn resolve(&self, task: PreparedTask, granted_cubes: usize) -> Resolution {
         let PreparedTask {
             req,
             func,
@@ -397,99 +469,84 @@ impl Engine {
             key,
             features,
             mut cfg,
-            prep_micros,
             ..
         } = task;
         if granted_cubes > cfg.intra_loop {
             cfg.intra_loop = granted_cubes;
         }
-        let service = |mut resp: SummaryResponse| {
-            resp.cost.wall_micros = prep_micros
-                .saturating_add(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-            resp
-        };
 
         // 4. Store lookup by semantic fingerprint; every hit re-verifies
         //    against *this* loop before serving (fingerprint match is
         //    evidence, not proof — the small-model theorem stays the
         //    sole soundness root).
+        let mut rejected = None;
         if req.flags.store {
             if let Some(bytes) = self.store.lookup(&fp) {
+                let mut span = strsum_obs::span("loop.reverify", "corpus");
+                if span.active() {
+                    span.arg_str("id", req.id.clone());
+                }
+                let start = Instant::now();
                 self.reverified.fetch_add(1, Ordering::Relaxed);
                 strsum_obs::counter(names::STORE_REVERIFIED, "server", 1);
                 let (ok, effort) = verify_summary(&func, &bytes, cfg.max_ex_size);
-                if ok {
+                // A verified summary always decodes: the checker decodes
+                // it first.
+                let verified = if ok {
+                    Summary::decode(&bytes).ok()
+                } else {
+                    None
+                };
+                if let Some(summary) = verified {
                     self.store_hits.fetch_add(1, Ordering::Relaxed);
                     strsum_obs::counter(names::STORE_HIT, "server", 1);
-                    let mut resp = SummaryResponse::new(req.id.clone(), LoopOutcome::CacheHit);
-                    // Surface the lane on the wire for closed-form hits;
-                    // gadget hits keep the fields omitted (v1-compatible,
-                    // `summary_kind()` derives Gadget).
-                    if let Ok(summary) = Summary::decode(&bytes) {
-                        if summary.closed_form().is_some() {
-                            resp.kind = Some(summary.kind());
-                            resp.closed_form = Some(bytes.clone());
-                        }
-                    }
-                    resp.summary = Some(bytes);
-                    resp.origin = Origin::Store;
-                    resp.reverified = true;
-                    resp.cost = Cost {
-                        wall_micros: 0, // filled below
-                        conflicts: effort.conflicts,
+                    return Resolution {
+                        outcome: LoopOutcome::CacheHit,
+                        summary: Some((summary, bytes)),
+                        stats: SynthStats {
+                            solver: SolverTelemetry {
+                                verify: effort,
+                                ..SolverTelemetry::default()
+                            },
+                            ..SynthStats::default()
+                        },
+                        elapsed: start.elapsed(),
+                        rejected: None,
                     };
-                    resp.telemetry = Some(strsum_core::SolverTelemetry {
-                        verify: effort,
-                        ..Default::default()
-                    });
-                    return service(resp);
                 }
                 // Poisoned or colliding entry: tombstone it and fall
                 // through to fresh synthesis.
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 strsum_obs::counter(names::STORE_REJECTED, "server", 1);
                 let _ = self.store.remove(&fp);
+                rejected = Some(effort);
             }
         }
         self.store_misses.fetch_add(1, Ordering::Relaxed);
         strsum_obs::counter(names::STORE_MISS, "server", 1);
 
-        // 5. Fresh synthesis under the request budget, classified
-        //    exactly as the batch runner classifies it. Both lanes run:
+        // 5. Fresh synthesis under the request budget. Both lanes run:
         //    the gadget fragment first, then the recurrence lane for
         //    stateful loops the memoryless screen rejects.
-        let synth_start = Instant::now();
+        let mut span = strsum_obs::span("loop", "corpus");
+        if span.active() {
+            span.arg_str("id", req.id.clone());
+        }
+        let start = Instant::now();
         let SummarizeResult { summary, stats } = summarize_loop(&func, &cfg);
-        let synth_micros = u64::try_from(synth_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let outcome = if summary.is_some() {
-            if stats.degraded {
-                LoopOutcome::Degraded
-            } else {
-                LoopOutcome::Summarized
-            }
-        } else if let Some(kind) = stats.exhausted {
-            LoopOutcome::BudgetExhausted(kind)
-        } else {
-            LoopOutcome::NotMemoryless
-        };
-        // 6. Record the observed cost — same rows and exclusions as the
-        //    batch runner's `record_costs` (cache hits and crashes never
-        //    reach this point), so served traffic trains the planner.
-        let recorded = match &outcome {
-            LoopOutcome::Summarized => RecordedOutcome::Summarized,
-            LoopOutcome::NotMemoryless => RecordedOutcome::NotMemoryless,
-            LoopOutcome::BudgetExhausted(_) => RecordedOutcome::BudgetExhausted,
-            LoopOutcome::Degraded => RecordedOutcome::Degraded,
-            LoopOutcome::CacheHit | LoopOutcome::Crashed(_) => RecordedOutcome::Unknown,
-        };
+        let elapsed = start.elapsed();
+        span.arg_u64("synthesised", u64::from(summary.is_some()));
+        let outcome = classify(&stats, summary.is_some());
+        // 6. Record the observed cost. Store hits and crashes never get
+        //    here, so they never enter the book.
         let cube_k = cfg.intra_loop.max(1);
         self.record_cost(
             key,
             &features,
             CostStat {
                 conflicts: stats.solver.total().conflicts,
-                wall_micros: synth_micros,
-                outcome: recorded,
+                wall_micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+                outcome: recorded_outcome(&outcome),
                 strategy: if cube_k > 1 {
                     RecordedStrategy::Cubed
                 } else {
@@ -498,26 +555,23 @@ impl Engine {
                 cube_k: cube_k.min(u32::MAX as usize) as u32,
             },
         );
-
-        let mut resp = SummaryResponse::new(req.id.clone(), outcome);
-        resp.failure = stats.failure.clone();
-        resp.telemetry = Some(stats.solver);
-        resp.cost.conflicts = stats.solver.total().conflicts;
-        if let Some(summary) = &summary {
+        // 7. Publish. Verified fresh summaries — gadget programs and
+        //    closed forms alike — enter the store so the next request
+        //    with this fingerprint hits.
+        let summary = summary.map(|summary| {
             let bytes = summary.encode();
-            // 7. Publish. Verified fresh summaries — gadget programs and
-            //    closed forms alike — enter the store so the next request
-            //    with this fingerprint hits.
             if req.flags.store {
                 let _ = self.store.insert(fp, bytes.clone());
             }
-            if summary.closed_form().is_some() {
-                resp.kind = Some(summary.kind());
-                resp.closed_form = Some(bytes.clone());
-            }
-            resp.summary = Some(bytes);
+            (summary, bytes)
+        });
+        Resolution {
+            outcome,
+            summary,
+            stats,
+            elapsed,
+            rejected,
         }
-        service(resp)
     }
 
     /// Records one fresh-synthesis cost into the live book (predictions
@@ -549,6 +603,31 @@ impl Engine {
         let mut resp = SummaryResponse::new(req.id.clone(), LoopOutcome::NotMemoryless);
         resp.failure = Some(failure.to_string());
         resp
+    }
+}
+
+/// How a fresh synthesis resolved, from its structured stats.
+/// Precedence: a summary is success (degraded when minimisation was cut
+/// short); no summary with a tripped budget is that budget's exhaustion;
+/// anything else is inexpressible in either lane.
+fn classify(stats: &SynthStats, summarized: bool) -> LoopOutcome {
+    match (summarized, stats.exhausted) {
+        (true, _) if stats.degraded => LoopOutcome::Degraded,
+        (true, _) => LoopOutcome::Summarized,
+        (false, Some(kind)) => LoopOutcome::BudgetExhausted(kind),
+        (false, None) => LoopOutcome::NotMemoryless,
+    }
+}
+
+/// The cost book's outcome tag for a fresh synthesis's outcome. Hits and
+/// crashes are never recorded, so they have no tag of their own.
+fn recorded_outcome(outcome: &LoopOutcome) -> RecordedOutcome {
+    match outcome {
+        LoopOutcome::Summarized => RecordedOutcome::Summarized,
+        LoopOutcome::NotMemoryless => RecordedOutcome::NotMemoryless,
+        LoopOutcome::BudgetExhausted(_) => RecordedOutcome::BudgetExhausted,
+        LoopOutcome::Degraded => RecordedOutcome::Degraded,
+        LoopOutcome::CacheHit | LoopOutcome::Crashed(_) => RecordedOutcome::Unknown,
     }
 }
 
@@ -740,6 +819,41 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.store_hits, 1);
         assert_eq!(stats.reverified, stats.store_hits + stats.rejected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An `int` and a `long` counter agree on every grid string; with the
+    /// return width in the fingerprint they are two store keys, so
+    /// alternating requests never tombstone each other's entry.
+    #[test]
+    fn int_and_long_counters_keep_separate_store_entries() {
+        let dir = tmp_dir("widths");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let stateful = strsum_corpus::stateful_corpus();
+        let source = |id: &str| {
+            stateful
+                .iter()
+                .find(|e| e.id == id)
+                .expect("stateful corpus entry")
+                .source
+                .clone()
+        };
+        let (int_count, long_count) = (source("acc_01"), source("acc_08"));
+        for pass in 0..2 {
+            for (id, src) in [("acc_01", &int_count), ("acc_08", &long_count)] {
+                let resp = engine.handle(&SummaryRequest::c(format!("{id}/{pass}"), src.as_str()));
+                assert!(resp.summary.is_some(), "{id}: {:?}", resp.failure);
+                let origin = if pass == 0 {
+                    Origin::Fresh
+                } else {
+                    Origin::Store
+                };
+                assert_eq!(resp.origin, origin, "{id} on pass {pass}");
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.rejected, 0, "no entry was tombstoned");
+        assert_eq!(stats.store_hits, 2, "both second-pass requests hit");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

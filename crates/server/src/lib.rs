@@ -29,6 +29,6 @@ pub mod sched;
 pub mod store;
 
 pub use daemon::{serve_unix_socket, Daemon, DEFAULT_IDLE_TIMEOUT};
-pub use engine::{CostEstimate, Engine, EngineStats, Prepared, PreparedTask};
+pub use engine::{CostEstimate, Engine, EngineStats, Prepared, PreparedTask, Resolution};
 pub use sched::{Policy, SchedOptions, SchedStats, Scheduler, DEFAULT_QUEUE_DEPTH};
 pub use store::{ShardedStore, DEFAULT_SHARDS};

@@ -1,6 +1,7 @@
 //! The persistent, fingerprint-sharded summary store.
 //!
-//! `corpus::SummaryCache` grown an on-disk form: entries live in `N`
+//! The one fingerprint → summary store, used by the daemon and (over a
+//! per-run scratch directory) the batch runner alike: entries live in `N`
 //! shard files under one directory, keyed by the full semantic
 //! fingerprint with `fingerprint_hash(fp) % N` choosing the shard.
 //! Concurrent readers go through per-shard `RwLock`s ([`ShardedStore::lookup`]

@@ -3,7 +3,7 @@
 //!
 //! The concrete-first synthesis pipeline needs the loop's behaviour over a
 //! small, fixed input grid twice: once to screen candidate programs without
-//! any solver work, and once to key the cross-loop summary cache by a
+//! any solver work, and once to key the cross-loop summary store by a
 //! *semantic fingerprint* (two loops that agree on the whole grid almost
 //! certainly agree everywhere, and a cache hit is re-verified by the
 //! bounded checker anyway, so fingerprint collisions cost only wasted
@@ -59,8 +59,9 @@ fn fnv(bytes: &[u8]) -> u64 {
 ///   legacy memoryless encoding, byte-identical to every fingerprint
 ///   computed before the recurrence lane existed;
 /// - a NULL return as [`NULL_SENTINEL`];
-/// - an integer return `v` in the [`INT_TAG`] domain (mixed, and folded
-///   with the buffer digest if the loop also wrote memory);
+/// - an integer return `v` in the [`INT_TAG`] domain (mixed with the
+///   return type's width, and folded with the buffer digest if the loop
+///   also wrote memory);
 /// - a pointer return over a *mutated* buffer in the [`MEM_TAG`] domain
 ///   (offset mixed with the final buffer contents — the builder lane);
 /// - anything unsafe as [`UNSAFE_SENTINEL`].
@@ -92,7 +93,11 @@ pub fn concrete_outcome(func: &Func, input: Option<&[u8]>) -> u64 {
     match ret {
         RtVal::Null => NULL_SENTINEL,
         RtVal::Int(v) => {
-            let mut payload = mix(v as u64);
+            // The return width is part of the function: an `int` and a
+            // `long` counter agree on every grid string yet overflow
+            // differently, and no summary of one verifies for the other.
+            let width = func.ret_ty.map_or(0, |t| u64::from(t.bits()));
+            let mut payload = mix(v as u64) ^ mix(width);
             if let (true, Some(obj)) = (mutated, obj) {
                 payload ^= fnv(mem.bytes(obj));
             }
@@ -233,6 +238,25 @@ mod tests {
             assert_ne!(outcome, UNSAFE_SENTINEL);
             assert_ne!(outcome, NULL_SENTINEL);
             assert!(outcome > 96, "never collides with a grid offset");
+        }
+    }
+
+    #[test]
+    fn integer_return_width_separates_outcomes() {
+        let int_count = compile_one(
+            "int f(char* s) { int n = 0; while (*s) { n = n + 1; s = s + 1; } return n; }",
+        )
+        .unwrap();
+        let long_count = compile_one(
+            "long f(char* s) { long n = 0; while (*s) { n = n + 1; s = s + 1; } return n; }",
+        )
+        .unwrap();
+        for input in [&b""[..], b"a", b"abc"] {
+            let i = concrete_outcome(&int_count, Some(input));
+            let l = concrete_outcome(&long_count, Some(input));
+            assert_ne!(i & INT_TAG, 0);
+            assert_ne!(l & INT_TAG, 0);
+            assert_ne!(i, l, "same count, different widths: {input:?}");
         }
     }
 
