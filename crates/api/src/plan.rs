@@ -1,23 +1,18 @@
 //! Execution-plan vocabulary: [`PlanMode`] and [`PlanSpec`].
 //!
-//! These used to live in `strsum-bench`'s planner module; they moved here
-//! when the request/response API became the single front door, because a
-//! [`crate::SummaryRequest`] carries its plan over the wire and the
-//! daemon must speak the same vocabulary as the batch runner. The
-//! *decision machinery* (the cost-model planner) stays in `strsum-bench`
-//! — this module is pure data.
+//! These live in the API crate because a [`crate::SummaryRequest`]
+//! carries its plan over the wire and the daemon must speak the same
+//! vocabulary as the batch runner. This module is pure data: the
+//! longest-job-first ordering over the cost book lives in
+//! `strsum-corpus::plan`.
 
 /// Which planning policy a run uses (the `--plan` flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Every loop serial — the pre-planner default and the baseline the
-    /// CI regression gate measures adaptive against.
+    /// Every loop serial — the default.
     Serial,
-    /// Every loop cube-and-conquer with a fixed `k` — the PR 4
-    /// behaviour, kept for ablation.
+    /// Every loop cube-and-conquer with a fixed `k`, on explicit request.
     Cubed(usize),
-    /// Per-loop strategy from the cost model (the planner proper).
-    Adaptive,
 }
 
 impl PlanMode {
@@ -26,7 +21,6 @@ impl PlanMode {
         match self {
             PlanMode::Serial => "serial",
             PlanMode::Cubed(_) => "cubed",
-            PlanMode::Adaptive => "adaptive",
         }
     }
 }
@@ -77,12 +71,10 @@ impl PlanSpec {
         }
     }
 
-    /// Cost-model-driven per-loop strategies, cost-ordered.
+    /// An alias for [`PlanSpec::serial`], kept only because the
+    /// `profile` benchmark calls it.
     pub fn adaptive() -> PlanSpec {
-        PlanSpec {
-            mode: PlanMode::Adaptive,
-            cost_order: true,
-        }
+        PlanSpec::serial()
     }
 
     /// Dispatch in corpus order instead of longest-job-first; the run
@@ -93,22 +85,23 @@ impl PlanSpec {
     }
 
     /// Parses a `--plan` value; `None` for an unrecognised mode. `k` is
-    /// the cube count fixed modes use (`--cubes`).
+    /// the cube count `cubed` uses (`--cubes`). `adaptive`, the retired
+    /// cost-model mode, parses as serial, so v1 frames that name it
+    /// still decode.
     pub fn parse(mode: &str, k: usize) -> Option<PlanSpec> {
         match mode {
-            "serial" => Some(PlanSpec::serial()),
+            "serial" | "adaptive" => Some(PlanSpec::serial()),
             "cubed" => Some(PlanSpec::cubed(k)),
-            "adaptive" => Some(PlanSpec::adaptive()),
             _ => None,
         }
     }
 
-    /// The cube count a fixed mode carries (`--cubes` on the wire; 0 for
-    /// modes without one).
+    /// The cube count a cubed plan carries (`--cubes` on the wire; 0 for
+    /// serial).
     pub fn cubes(self) -> usize {
         match self.mode {
             PlanMode::Cubed(k) => k,
-            PlanMode::Serial | PlanMode::Adaptive => 0,
+            PlanMode::Serial => 0,
         }
     }
 }
@@ -119,13 +112,15 @@ mod tests {
 
     #[test]
     fn parse_and_labels_round_trip() {
-        for spec in [PlanSpec::serial(), PlanSpec::cubed(4), PlanSpec::adaptive()] {
+        for spec in [PlanSpec::serial(), PlanSpec::cubed(4)] {
             assert_eq!(
                 PlanSpec::parse(spec.mode.label(), spec.cubes().max(2)),
                 Some(spec)
             );
         }
         assert_eq!(PlanSpec::parse("paln", 4), None);
+        // The retired adaptive mode is a spelling of serial.
+        assert_eq!(PlanSpec::parse("adaptive", 4), Some(PlanSpec::serial()));
         // Portfolio racing left the vocabulary: it is an unknown mode now.
         assert_eq!(PlanSpec::parse("portfolio", 4), None);
         assert_eq!(PlanSpec::cubed(0), PlanSpec::cubed(2), "k clamps to 2");

@@ -816,6 +816,21 @@ mod tests {
         );
     }
 
+    /// `adaptive` left the plan vocabulary as a spelling of serial: a v1
+    /// frame naming it still decodes, to the serial plan.
+    #[test]
+    fn adaptive_plan_mode_decodes_as_serial() {
+        let frame = decode_frame(
+            "{\"v\":1,\"type\":\"summary\",\"id\":\"x\",\"source\":\"\",\
+             \"plan\":{\"mode\":\"adaptive\",\"cubes\":0,\"cost_order\":true}}",
+        )
+        .unwrap();
+        match frame {
+            Frame::Summary(r) => assert_eq!(r.plan, Some(PlanSpec::serial())),
+            other => panic!("wrong frame: {other:?}"),
+        }
+    }
+
     #[test]
     fn non_utf8_source_goes_hex() {
         let frame = Frame::Summary(SummaryRequest::c("bin", vec![0xff, 0x00, b'x']));

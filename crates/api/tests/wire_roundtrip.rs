@@ -47,7 +47,7 @@ fn any_budget() -> impl Strategy<Value = Budget> {
 
 fn any_plan() -> impl Strategy<Value = PlanSpec> {
     (
-        proptest::sample::select(&["serial", "cubed", "adaptive"][..]),
+        proptest::sample::select(&["serial", "cubed"][..]),
         2usize..64,
         any::<bool>(),
     )

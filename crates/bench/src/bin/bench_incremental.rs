@@ -1,7 +1,7 @@
-//! Concrete-first + parallel-search + planner ablations and determinism
+//! Concrete-first + parallel-search + plan ablations and determinism
 //! audits over a corpus slice.
 //!
-//! Seven passes:
+//! Six passes:
 //!
 //! 1. **screened** — the default pipeline: concrete-first screening +
 //!    OE-class blocking inside incremental sessions, behind the
@@ -19,27 +19,22 @@
 //!    cubes per query, and longest-job-first dispatch from pass 4's cost
 //!    book. The deterministic cube merge makes passes 4 and 5 synthesise
 //!    byte-identical programs; any divergence is a determinism violation.
-//! 6. **multi-worker serial** — the pure-serial plan (no cubes,
-//!    longest-job-first dispatch) at the same thread count as passes 5
-//!    and 7: the strongest non-adaptive baseline, so pass 7 differs from
-//!    it only in per-loop strategy choice.
-//! 7. **adaptive** — the [`ExecutionPlanner`](strsum_bench::ExecutionPlanner)
-//!    picks serial/cubed per loop from pass 4's cost book (plus
-//!    GP-predicted costs for unseen loops).
+//! 6. **multi-worker serial** — the serial plan (no cubes,
+//!    longest-job-first dispatch from pass 4's cost book) at the same
+//!    thread count as pass 5, so the two differ only in strategy. The
+//!    cubed pass must reproduce it byte-for-byte.
 //!
-//! The run fails (exit 1) on any determinism violation, on any
+//! The run fails (exit 1) on any determinism violation and on any
 //! screen-layer/solver disagreement — a candidate the symbolic circuit
 //! and the gadget interpreter judge differently, or a solver re-entry
-//! into a blocked OE class (`oe_class_hits > 0`) — and, on multi-core
-//! hosts, when the adaptive plan's makespan loses to the pure-serial
-//! pass 6 (speedup < 1.0): parallelism that does not win is a planner
-//! regression. All audits are wired into CI.
+//! into a blocked OE class (`oe_class_hits > 0`). All audits are wired
+//! into CI.
 //!
 //! Results land in `BENCH_pr2.json` (ablation + audit counters),
 //! `BENCH_incremental.json` (the PR-1 incremental-vs-scratch shape),
 //! `BENCH_pr4.json` (serial-vs-parallel makespans, per-loop speedups, and
 //! the parallel determinism audit), and `BENCH_pr6.json` (per-plan
-//! makespans, the adaptive-vs-serial gate, and plan-choice counters).
+//! makespans and determinism counters).
 //!
 //! With `--trace PATH` the run also writes a Chrome `trace_event` JSON of
 //! every instrumented phase and *reconciles* it against the solver
@@ -131,8 +126,8 @@ fn main() {
 
     // Passes 1–3 pin corpus-order dispatch so the screening ablation and
     // its audit stay independent of whatever cost book is on disk; passes
-    // 4–7 use cost-aware plans (pass 4 populates the book the later
-    // passes schedule and predict from).
+    // 4–6 use cost-ordered plans (pass 4 populates the book the later
+    // passes schedule from).
     let run = |cfg: SynthesisConfig, cached: bool, n: usize, plan: PlanSpec| {
         let mut runner = CorpusRunner::new(plan).persist_costs(true);
         if let Some(c) = trace.collector() {
@@ -149,12 +144,12 @@ fn main() {
     };
     let pass1_plan = cli.plan(PlanSpec::serial().corpus_order());
     println!(
-        "pass 1/7: screened + cached, incremental sessions ({} plan)…",
+        "pass 1/6: screened + cached, incremental sessions ({} plan)…",
         pass1_plan.mode.label()
     );
     let (r1, _) = run(config(true, true, timeout), true, threads, pass1_plan);
     let (screened, cache) = (r1.results, r1.cache);
-    println!("pass 2/7: baseline (no screen, no cache), incremental sessions…");
+    println!("pass 2/6: baseline (no screen, no cache), incremental sessions…");
     let baseline = run(
         config(false, true, timeout),
         false,
@@ -163,7 +158,7 @@ fn main() {
     )
     .0
     .results;
-    println!("pass 3/7: screened + cached, from-scratch reference…");
+    println!("pass 3/6: screened + cached, from-scratch reference…");
     let (r3, _) = run(
         config(true, false, timeout),
         true,
@@ -171,12 +166,12 @@ fn main() {
         PlanSpec::serial().corpus_order(),
     );
     let (scratch, scratch_cache) = (r3.results, r3.cache);
-    println!("pass 4/7: serial reference (1 thread, 1 cube, recording costs)…");
+    println!("pass 4/6: serial reference (1 thread, 1 cube, recording costs)…");
     let (r4, serial_makespan) = run(config(true, true, timeout), true, 1, PlanSpec::serial());
     let (serial, serial_cache) = (r4.results, r4.cache);
     let threads_parallel = threads.max(2);
     println!(
-        "pass 5/7: parallel ({threads_parallel} threads, 4 cubes/query, cost-aware dispatch)…"
+        "pass 5/6: parallel ({threads_parallel} threads, 4 cubes/query, cost-aware dispatch)…"
     );
     let (r5, parallel_makespan) = run(
         config(true, true, timeout),
@@ -185,10 +180,7 @@ fn main() {
         PlanSpec::cubed(4),
     );
     let (parallel, parallel_cache) = (r5.results, r5.cache);
-    println!("pass 6/7: pure serial at {threads_parallel} threads (the plan to beat)…");
-    // Cost-ordered (LJF) serial is the strongest non-adaptive baseline:
-    // pass 7 differs from it only in *strategy* choice, so the speedup
-    // gate measures the planner's decisions, not dispatch order.
+    println!("pass 6/6: serial at {threads_parallel} threads (cost-ordered dispatch)…");
     let (r6, serial_mw_makespan) = run(
         config(true, true, timeout),
         true,
@@ -196,14 +188,6 @@ fn main() {
         PlanSpec::serial(),
     );
     let serial_mw = r6.results;
-    println!("pass 7/7: adaptive planner at {threads_parallel} threads…");
-    let (r7, adaptive_makespan) = run(
-        config(true, true, timeout),
-        true,
-        threads_parallel,
-        PlanSpec::adaptive(),
-    );
-    let (adaptive, adaptive_counts) = (r7.results, r7.plan);
 
     // Determinism audits: identical programs, identical failure kinds,
     // between two passes that must agree byte-for-byte. (Timeout-bounded
@@ -243,11 +227,9 @@ fn main() {
     };
     let (mismatches, timing_races) = audit(&screened, &scratch, "incremental", "from-scratch");
     let (par_mismatches, par_races) = audit(&serial, &parallel, "serial", "parallel");
-    // Planner audits: every plan must reproduce the multi-worker serial
-    // pass byte-for-byte — strategy choice may only move wall clock.
+    // Plan audit: the cubed plan must reproduce the multi-worker serial
+    // pass byte-for-byte — strategy may only move wall clock.
     let (cubed_mismatches, cubed_races) = audit(&serial_mw, &parallel, "serial-mw", "cubed");
-    let (adaptive_mismatches, adaptive_races) =
-        audit(&serial_mw, &adaptive, "serial-mw", "adaptive");
     if verbose {
         for (s, b) in screened.iter().zip(&baseline) {
             let show = |r: &LoopSynth| match (&r.summary, &r.failure) {
@@ -271,7 +253,6 @@ fn main() {
     disagreed.extend(disagreements(&serial));
     disagreed.extend(disagreements(&parallel));
     disagreed.extend(disagreements(&serial_mw));
-    disagreed.extend(disagreements(&adaptive));
 
     let count_ok = |rs: &[LoopSynth]| rs.iter().filter(|r| r.summary.is_some()).count();
     let screened_q = aggregate_telemetry(&screened).total().queries;
@@ -324,25 +305,10 @@ fn main() {
         entries.len(),
         par_races
     );
-    let adaptive_speedup =
-        serial_mw_makespan.as_secs_f64() / adaptive_makespan.as_secs_f64().max(1e-9);
     println!(
-        "planner  : {:>8.2}s serial vs {:>8.2}s adaptive ({adaptive_speedup:.2}x) at \
-         {threads_parallel} threads",
-        serial_mw_makespan.as_secs_f64(),
-        adaptive_makespan.as_secs_f64()
-    );
-    println!(
-        "planner  : adaptive chose serial×{} cubed×{} ({} GP-modelled)",
-        adaptive_counts.serial, adaptive_counts.cubed, adaptive_counts.modeled
-    );
-    println!(
-        "audit    : plans vs serial-mw — cubed {}+{}r, adaptive {}+{}r \
-         (mismatches+timing races)",
+        "audit    : cubed vs serial-mw — {}+{}r (mismatches+timing races)",
         cubed_mismatches.len(),
-        cubed_races,
-        adaptive_mismatches.len(),
-        adaptive_races
+        cubed_races
     );
 
     let mut json = String::new();
@@ -465,15 +431,9 @@ fn main() {
     let _ = writeln!(json, "}}");
     write_result("BENCH_pr4.json", &json);
 
-    // The planner ablation: one makespan per plan at the same thread
-    // count, the adaptive plan's per-strategy choices, and the
-    // adaptive-vs-serial regression gate. The gate is enforced only on
-    // multi-core hosts: on 1 core every plan's work degenerates to serial
-    // execution and the comparison measures scheduling noise, not the
-    // planner (the `cores` field says which kind of run this was). The
-    // determinism audits are the hard gate everywhere.
-    let gate_enforced = cores > 1;
-    let gate_passed = !gate_enforced || adaptive_speedup >= 1.0;
+    // The plan ablation: one makespan per plan at the same thread count.
+    // Speedup is informational (the `cores` field says which kind of
+    // host ran it); the determinism audits are the hard gate.
     let count_ok_plan = |rs: &[LoopSynth]| rs.iter().filter(|r| r.summary.is_some()).count();
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -498,7 +458,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"cubed\": {},",
+        "    \"cubed\": {}",
         plan_row(
             parallel_makespan,
             &parallel,
@@ -506,30 +466,7 @@ fn main() {
             cubed_races
         )
     );
-    let _ = writeln!(
-        json,
-        "    \"adaptive\": {}",
-        plan_row(
-            adaptive_makespan,
-            &adaptive,
-            adaptive_mismatches.len(),
-            adaptive_races
-        )
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(
-        json,
-        "  \"adaptive_choices\": {},",
-        adaptive_counts.to_json()
-    );
-    let _ = writeln!(
-        json,
-        "  \"adaptive_vs_serial_speedup\": {adaptive_speedup:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"enforced\":{gate_enforced},\"passed\":{gate_passed}}}"
-    );
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     write_result("BENCH_pr6.json", &json);
 
@@ -549,7 +486,7 @@ fn main() {
             }
         }
         let telemetry_q = [
-            &screened, &baseline, &scratch, &serial, &parallel, &serial_mw, &adaptive,
+            &screened, &baseline, &scratch, &serial, &parallel, &serial_mw,
         ]
         .iter()
         .map(|rs| aggregate_telemetry(rs).total().queries)
@@ -572,22 +509,12 @@ fn main() {
         .iter()
         .chain(&par_mismatches)
         .chain(&cubed_mismatches)
-        .chain(&adaptive_mismatches)
         .collect();
     if !all_mismatches.is_empty() {
         eprintln!("DETERMINISM VIOLATIONS:");
         for m in all_mismatches {
             eprintln!("  {m}");
         }
-        failed = true;
-    }
-    if !gate_passed {
-        eprintln!(
-            "PLANNER REGRESSION: adaptive makespan {:.2}s lost to pure serial {:.2}s \
-             ({adaptive_speedup:.2}x < 1.0) on {cores} cores",
-            adaptive_makespan.as_secs_f64(),
-            serial_mw_makespan.as_secs_f64()
-        );
         failed = true;
     }
     if !disagreed.is_empty() {

@@ -282,8 +282,9 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads\":{threads},\"seed\":{seed}}},",
-        entries.len()
+        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads\":{threads},\"seed\":{seed},\"cores\":{}}},",
+        entries.len(),
+        strsum_corpus::plan::detected_cores()
     );
     let _ = writeln!(json, "  \"clean_outcomes\": {},", serial.outcomes.to_json());
     let _ = writeln!(

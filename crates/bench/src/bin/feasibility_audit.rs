@@ -294,8 +294,9 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"loops\":{},\"len\":{len},\"timeout_secs\":{timeout},\"synth_limit\":{synth_limit}}},",
-        entries.len()
+        "  \"config\": {{\"loops\":{},\"len\":{len},\"timeout_secs\":{timeout},\"synth_limit\":{synth_limit},\"cores\":{}}},",
+        entries.len(),
+        strsum_corpus::plan::detected_cores()
     );
     let _ = writeln!(json, "  \"compared\": {compared},");
     let _ = writeln!(json, "  \"skipped\": {skipped},");

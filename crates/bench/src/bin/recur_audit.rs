@@ -48,24 +48,9 @@ struct LaneRow {
     form: Option<String>,
 }
 
-/// Minimal JSON string escaping for loop descriptions.
+/// A JSON string literal.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", strsum_obs::escape(s))
 }
 
 fn main() {
@@ -227,8 +212,9 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"memoryless_loops\":{memoryless_count},\"stateful_loops\":{},\"timeout_secs\":{timeout}}},",
-        stateful.len()
+        "  \"config\": {{\"memoryless_loops\":{memoryless_count},\"stateful_loops\":{},\"timeout_secs\":{timeout},\"cores\":{}}},",
+        stateful.len(),
+        strsum_corpus::plan::detected_cores()
     );
     let _ = writeln!(
         json,

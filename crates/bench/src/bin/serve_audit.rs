@@ -28,7 +28,7 @@
 //! full slice then replayed by concurrent clients with warm and cold
 //! requests interleaved) is served twice over identical stores — once
 //! under the FIFO fixed pool (PR 8 behaviour, `SchedOptions::fixed`)
-//! and once under the cost-model scheduler. Both runs must stay
+//! and once under the cost-ordered scheduler. Both runs must stay
 //! byte-identical to the batch reference and pass the soundness gate;
 //! the scheduler must not lose throughput against the fixed pool (a
 //! hard gate on multi-core hosts, informational on one core, with a
@@ -365,6 +365,11 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"loops\": {loops},");
     let _ = writeln!(json, "  \"clients\": {clients},");
     let _ = writeln!(json, "  \"workers\": {threads},");
+    let _ = writeln!(
+        json,
+        "  \"cores\": {},",
+        strsum_corpus::plan::detected_cores()
+    );
     let _ = writeln!(json, "  \"timeout_secs\": {timeout},");
     let _ = writeln!(json, "  \"compared\": {compared},");
     let _ = writeln!(
@@ -485,8 +490,8 @@ fn main() -> ExitCode {
     let (fixed_rps, sched_rps) = (throughputs[0], throughputs[1]);
     let speedup = sched_rps / fixed_rps.max(1e-9);
     // The throughput gate: the scheduler must not lose to the fixed
-    // pool. Hard on multi-core hosts (where leases and ordering have
-    // room to work), informational on one core; 10% jitter allowance.
+    // pool. Hard on multi-core hosts (where ordering has room to work),
+    // informational on one core; 10% jitter allowance.
     let gate_hard = cores > 1;
     println!(
         "mixed: scheduler {sched_rps:.1} req/s vs fixed {fixed_rps:.1} req/s ({speedup:.2}x, {} gate on {cores} cores)",

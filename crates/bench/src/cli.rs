@@ -13,9 +13,9 @@
 //! - `--retries <n>` — quarantine-lane rounds for budget-exhausted loops
 //! - `--fault-plan <path>` — a deterministic [`FaultPlan`] file to inject
 //! - `--trace <path>` — Chrome-trace span capture (see [`TraceArgs`])
-//! - `--plan {serial,cubed,adaptive}` — per-loop execution strategy
-//!   (see [`PlanSpec`]); `--cubes <k>` sets the cube count the fixed
-//!   `cubed` mode uses
+//! - `--plan {serial,cubed}` — execution strategy (see [`PlanSpec`]);
+//!   `--cubes <k>` sets the cube count `cubed` uses. `adaptive` is
+//!   accepted as a spelling of serial
 
 use std::time::Duration;
 use strsum_core::Budget;
@@ -148,7 +148,7 @@ impl Cli {
                 None => {
                     eprintln!(
                         "error: unknown --plan {mode:?} \
-                         (expected serial, cubed or adaptive)"
+                         (expected serial or cubed; adaptive means serial)"
                     );
                     std::process::exit(2);
                 }
@@ -245,10 +245,18 @@ mod tests {
         );
 
         // --plan switches the mode but keeps the default's ordering.
-        let cli = Cli::from_args(&["prog", "--plan", "adaptive"]);
+        let cli = Cli::from_args(&["prog", "--plan", "cubed"]);
         assert_eq!(
             cli.plan(PlanSpec::serial().corpus_order()),
-            PlanSpec::adaptive().corpus_order()
+            PlanSpec::cubed(4).corpus_order()
+        );
+
+        // `adaptive` is a spelling of serial.
+        let cli = Cli::from_args(&["prog", "--plan", "adaptive"]);
+        assert_eq!(cli.plan(PlanSpec::cubed(4)), PlanSpec::serial());
+        assert_eq!(
+            cli.plan(PlanSpec::serial().corpus_order()),
+            PlanSpec::serial().corpus_order()
         );
 
         // --cubes feeds the fixed modes, given or defaulted.

@@ -22,9 +22,7 @@ pub use cli::Cli;
 pub use fault::{Fault, FaultPlan};
 pub use runner::{CacheStats, CorpusReport, CorpusRunner, KindCounts, OutcomeCounts, RetryStats};
 pub use strsum_api::{LoopSpec, PlanMode, PlanSpec, RequestSpec, Scope};
-pub use strsum_corpus::plan::{
-    ljf_order, loop_features, ExecutionPlanner, LoopFeatures, LoopPlan, Plan, PlanCounts, Strategy,
-};
+pub use strsum_corpus::plan::{ljf_order, PlanCounts};
 pub use trace::TraceArgs;
 
 /// The [`LoopSpec`] view of corpus entries — for feeding an explicit

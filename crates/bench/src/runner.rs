@@ -1,7 +1,7 @@
 //! The batch front end over the one summary lifecycle: [`CorpusRunner`].
 //!
-//! A runner fixes *how* to execute ([`PlanSpec`]: serial / cubed /
-//! adaptive × cost-ordered or corpus-ordered dispatch);
+//! A runner fixes *how* to execute ([`PlanSpec`]: serial / cubed ×
+//! cost-ordered or corpus-ordered dispatch);
 //! [`CorpusRunner::serve`] takes a [`RequestSpec`] saying *what* to run
 //! (config / threads / cache / scope) and returns one [`CorpusReport`]
 //! holding the per-loop results plus every aggregate the binaries report.
@@ -12,10 +12,9 @@
 //! per-run scratch directory, so a batch answer and a daemon answer are
 //! one code path by construction. A run has four phases:
 //!
-//! 1. **prepare** — compile, fingerprint and extract planner features
-//!    for every loop, in parallel;
-//! 2. **plan** — the [`ExecutionPlanner`] picks each loop's strategy and
-//!    the dispatch order from the persisted cost book;
+//! 1. **prepare** — compile and fingerprint every loop, in parallel;
+//! 2. **order** — [`ljf_order`] over the persisted cost book fixes the
+//!    dispatch order (corpus order when the plan says so);
 //! 3. **resolve** — with the cache on, loops sharing a fingerprint form
 //!    a group (with it off, every loop is its own group, and requests
 //!    bypass the store). Each group runs on one worker, members in
@@ -47,7 +46,7 @@ use strsum_core::{
     Budget, BudgetKind, LoopOutcome, SolverTelemetry, Summary, SummaryKind, SynthStats,
     SynthesisConfig,
 };
-use strsum_corpus::plan::{ExecutionPlanner, PlanCounts, Strategy};
+use strsum_corpus::plan::{ljf_order, PlanCounts};
 use strsum_corpus::{App, CostBook, LoopEntry};
 use strsum_gadgets::Program;
 use strsum_obs::{names, Aggregate, Collector, ToJson};
@@ -55,7 +54,7 @@ use strsum_server::{Engine, Prepared, PreparedTask, Resolution};
 
 use crate::{
     aggregate_screen, aggregate_telemetry, default_threads, hex, isolate, par_map, par_map_ordered,
-    results_dir, unhex, Fault, FaultPlan, LoopSynth, PlanMode, PlanSpec,
+    results_dir, unhex, Fault, FaultPlan, LoopSynth, PlanSpec,
 };
 
 /// Aggregate counts of every [`LoopOutcome`] in a run. The six variants
@@ -232,9 +231,9 @@ pub struct CorpusReport {
     pub kinds: KindCounts,
     /// Quarantine/retry-lane accounting (all zero with `retries` = 0).
     pub retries: RetryStats,
-    /// Per-strategy tallies of the executed plan (all zero for runs that
-    /// never planned, e.g. summaries loaded from disk). `portfolio` is
-    /// always 0.
+    /// Per-strategy tallies of the run (all zero for runs that never
+    /// executed, e.g. summaries loaded from disk). `portfolio` is always
+    /// 0.
     pub plan: PlanCounts,
 }
 
@@ -290,9 +289,9 @@ struct Executed {
 }
 
 impl CorpusRunner {
-    /// A runner executing under `plan` (per-loop strategy policy ×
-    /// dispatch order — see [`PlanSpec`]); no tracing, no faults. Any
-    /// plan yields byte-identical summaries — only wall clock changes.
+    /// A runner executing under `plan` (strategy × dispatch order — see
+    /// [`PlanSpec`]); no tracing, no faults. Any plan yields
+    /// byte-identical summaries — only wall clock changes.
     ///
     /// Everything else a run varies (config, threads, cache, scope)
     /// arrives with the [`RequestSpec`] at [`CorpusRunner::serve`] time.
@@ -402,14 +401,6 @@ impl CorpusRunner {
         self.report(run)
     }
 
-    /// Whether the run plans from the persisted cost book (and may write
-    /// it back): cost-ordered dispatch reads it, and so does the adaptive
-    /// mode's predictor. A fixed-mode corpus-order run (e.g. the
-    /// fault-audit baselines) neither reads nor writes it.
-    fn keyed(&self) -> bool {
-        self.plan.cost_order || self.plan.mode == PlanMode::Adaptive
-    }
-
     /// The engine request for one loop: the run's flags, the store used
     /// only when the cache is on, and `budget` overriding the run's.
     fn request(&self, entry: &LoopEntry, budget: Option<Budget>, store: bool) -> SummaryRequest {
@@ -427,7 +418,7 @@ impl CorpusRunner {
     /// lives in a scratch directory for the length of the run.
     fn execute(&self, entries: &[LoopEntry]) -> Executed {
         let scratch = ScratchDir::new();
-        // Per-loop cube counts come from the plan (the grant to
+        // The cube count comes from the plan (the grant to
         // `Engine::resolve`), so the engine's base config is serial.
         let base = SynthesisConfig {
             intra_loop: 1,
@@ -436,7 +427,7 @@ impl CorpusRunner {
         let engine = Engine::open(&scratch.0, 0, base)
             .unwrap_or_else(|e| panic!("cannot open a run store in {}: {e}", scratch.0.display()));
 
-        // Phase 1: prepare every loop (compile, fingerprint, features).
+        // Phase 1: prepare every loop (compile, fingerprint).
         let prepared = par_map(entries, self.threads, |e| {
             let mut span = strsum_obs::span("loop.fingerprint", "corpus");
             if span.active() {
@@ -454,21 +445,18 @@ impl CorpusRunner {
             }
         }
 
-        // Phase 2: plan from the book, this run's keys and features.
+        // Phase 2: order dispatch from the book and this run's keys.
         let keys: Vec<Option<u64>> = tasks.iter().map(|t| t.as_ref().map(|t| t.key())).collect();
-        let features: Vec<_> = tasks
-            .iter()
-            .map(|t| t.as_ref().map(|t| t.features()))
-            .collect();
-        let book = if self.keyed() {
-            CostBook::load(&results_dir().join("costs.tsv"))
+        let dispatch = if self.plan.cost_order {
+            ljf_order(&keys, &CostBook::load(&results_dir().join("costs.tsv")))
         } else {
-            CostBook::new()
+            (0..keys.len()).collect()
         };
-        let plan = ExecutionPlanner::new(self.plan, &book, self.threads).plan(&keys, &features);
+        let cubes = self.plan.cubes().max(1);
+        let plan = plan_counts(entries.len(), cubes);
 
         // Phase 3: resolve the fingerprint groups, each on one worker in
-        // corpus order, dispatched in the plan's order of their first
+        // corpus order, dispatched in the order of their first
         // members. Without the cache every loop is a group of its own.
         // (Grouping by the fingerprint hash is safe: a hash collision
         // only serialises two groups, the store keys on the full
@@ -486,7 +474,7 @@ impl CorpusRunner {
             }
         }
         let mut rank = vec![0usize; entries.len()];
-        for (pos, &i) in plan.order.iter().enumerate() {
+        for (pos, &i) in dispatch.iter().enumerate() {
             rank[i] = pos;
         }
         let mut order: Vec<usize> = (0..groups.len()).collect();
@@ -498,7 +486,7 @@ impl CorpusRunner {
             let resolve_member = |i: usize| {
                 let task = slots[i].lock().expect("task slot").take();
                 let task = task.expect("each task resolves once");
-                self.resolve(&engine, &entries[i], task, plan.loops[i].strategy)
+                self.resolve(&engine, &entries[i], task, cubes)
             };
             group
                 .iter()
@@ -527,7 +515,7 @@ impl CorpusRunner {
         };
         // The main lane's costs only: the retry lane runs under an
         // escalated budget the next run's plan knows nothing about.
-        if self.persist_costs && self.keyed() {
+        if self.persist_costs && self.plan.cost_order {
             let _ = engine.merge_costs_into(&results_dir().join("costs.tsv"));
         }
 
@@ -537,11 +525,11 @@ impl CorpusRunner {
             results,
             cache,
             retries,
-            plan: plan.counts(),
+            plan,
         }
     }
 
-    /// Resolves one prepared loop under its planned strategy, with any
+    /// Resolves one prepared loop at `cubes` cubes per query, with any
     /// planned fault applied first: a planned panic unwinds right here,
     /// inside the dispatching `par_map` worker; a forced `Unknown` or an
     /// expired deadline doctors the task's config so the ordinary budget
@@ -551,7 +539,7 @@ impl CorpusRunner {
         engine: &Engine,
         entry: &LoopEntry,
         mut task: PreparedTask,
-        strategy: Strategy,
+        cubes: usize,
     ) -> LoopSynth {
         if let Some(fault) = self.fault_plan.fault_for(&entry.id) {
             strsum_obs::counter(names::FAULT_INJECTED, "corpus", 1);
@@ -562,7 +550,7 @@ impl CorpusRunner {
                 Fault::DeadlineExpiry => cfg.budget.wall = Duration::ZERO,
             }
         }
-        resolved(entry, engine.resolve(task, strategy.cube_k()))
+        resolved(entry, engine.resolve(task, cubes))
     }
 
     /// The quarantine lane: loops whose main-lane outcome was a budget
@@ -805,6 +793,31 @@ fn load_summaries(path: &std::path::Path, entries: &[LoopEntry]) -> Option<Vec<L
     )
 }
 
+/// The strategy tallies of a run of `loops` loops at `cubes` cubes per
+/// query (1 = serial), also recorded as the `plan.*` counters.
+fn plan_counts(loops: usize, cubes: usize) -> PlanCounts {
+    let counts = if cubes > 1 {
+        PlanCounts {
+            cubed: loops,
+            ..PlanCounts::default()
+        }
+    } else {
+        PlanCounts {
+            serial: loops,
+            ..PlanCounts::default()
+        }
+    };
+    for (name, n) in [
+        (names::PLAN_SERIAL, counts.serial),
+        (names::PLAN_CUBED, counts.cubed),
+    ] {
+        if n > 0 {
+            strsum_obs::counter(name, "bench", n as u64);
+        }
+    }
+    counts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,8 +856,8 @@ mod tests {
     /// per-request knobs without mutating the shared runner.
     #[test]
     fn serve_applies_request_knobs_without_mutating_the_runner() {
-        let runner = CorpusRunner::new(PlanSpec::adaptive().corpus_order());
-        assert_eq!(runner.plan, PlanSpec::adaptive().corpus_order());
+        let runner = CorpusRunner::new(PlanSpec::serial().corpus_order());
+        assert_eq!(runner.plan, PlanSpec::serial().corpus_order());
         assert!(!runner.cache);
         assert!(!runner.reuse_summaries);
 

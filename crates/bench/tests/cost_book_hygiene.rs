@@ -2,10 +2,10 @@
 //! artifact: its committed rows must stay consistent with the committed
 //! benchmark results, so only the benchmark binaries — which opt in via
 //! `CorpusRunner::persist_costs` — may rewrite it. Embedded and test
-//! runs read the book for cost-ordered dispatch and adaptive planning
-//! but must leave it byte-identical, no matter which plan they run
-//! under. (Before this gate existed, every keyed test run merged its
-//! own machine's timings into the committed book, dirtying the tree.)
+//! runs read the book for cost-ordered dispatch but must leave it
+//! byte-identical, no matter which plan they run under. (Before this
+//! gate existed, every keyed test run merged its own machine's timings
+//! into the committed book, dirtying the tree.)
 
 use std::time::Duration;
 use strsum_bench::{loop_specs, results_dir, CorpusRunner, PlanSpec, RequestSpec};
@@ -18,8 +18,9 @@ fn cfg() -> SynthesisConfig {
     SynthesisConfig::with_timeout(Duration::from_secs(120))
 }
 
-/// Cost-ordered serial (the default spelling) and adaptive both key the
-/// book for scheduling; without `persist_costs` neither may write it.
+/// Cost-ordered serial (the default spelling) and cost-ordered cubed both
+/// key the book for scheduling; without `persist_costs` neither may
+/// write it.
 #[test]
 fn keyed_runs_leave_the_shared_book_untouched() {
     let entries = vec![LoopEntry {
@@ -30,7 +31,7 @@ fn keyed_runs_leave_the_shared_book_untouched() {
     }];
     let path = results_dir().join("costs.tsv");
     let before = std::fs::read(&path).ok();
-    for plan in [PlanSpec::serial(), PlanSpec::adaptive()] {
+    for plan in [PlanSpec::serial(), PlanSpec::cubed(2)] {
         let report = CorpusRunner::new(plan).serve(
             RequestSpec::loops(loop_specs(&entries))
                 .config(cfg())

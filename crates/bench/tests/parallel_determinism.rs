@@ -1,7 +1,6 @@
 //! Parallelism must be invisible in the results: a corpus run with worker
-//! threads, intra-loop search cubes, cost-aware dispatch, or an adaptive
-//! planner enabled produces byte-identical `LoopSynth` outcomes to a
-//! fully serial run — same programs, same failure verdicts, same
+//! threads, intra-loop search cubes or cost-aware dispatch enabled
+//! produces byte-identical `LoopSynth` outcomes to a fully serial run — same programs, same failure verdicts, same
 //! counterexample trajectories.
 //!
 //! Two layers guarantee this. Across loops, `par_map`/`par_map_ordered`
@@ -86,7 +85,7 @@ fn every_plan_matches_the_serial_run_byte_for_byte() {
 
     for (plan, label) in [
         (PlanSpec::cubed(4), "cubed"),
-        (PlanSpec::adaptive(), "adaptive"),
+        (PlanSpec::serial(), "cost-ordered serial"),
     ] {
         let other = run_plan(plan);
         let compared = assert_byte_identical(&serial, &other, label);

@@ -2,10 +2,10 @@
 //!
 //! Every fresh synthesis leaves a [`CostStat`] row keyed by the loop's
 //! [`fingerprint_hash`]: what it cost, how it ended and how it was
-//! executed. Schedulers read the book to dispatch expensive loops first
-//! and the planner trains its cost model on it; the summaries themselves
-//! live in the summary store (`strsum_server::ShardedStore`), which both
-//! the daemon and the batch runner use.
+//! executed. Schedulers read the book to dispatch expensive loops first;
+//! the summaries themselves live in the summary store
+//! (`strsum_server::ShardedStore`), which both the daemon and the batch
+//! runner use.
 
 use std::path::Path;
 
@@ -15,8 +15,8 @@ use std::path::Path;
 /// `LoopOutcome` taxonomy (this crate must not depend on the synthesis
 /// core). The distinction that matters downstream is *capped vs. true*:
 /// a `BudgetExhausted` wall clock is a lower bound imposed by the
-/// governor, not the loop's real cost, and schedulers/predictors must
-/// not treat it as one.
+/// governor, not the loop's real cost, and schedulers must not treat it
+/// as one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RecordedOutcome {
     /// A summary was synthesised and verified; the cost is the true cost.
@@ -30,8 +30,7 @@ pub enum RecordedOutcome {
     /// A degraded (partial) result was accepted.
     Degraded,
     /// Recorded by a pre-v2 book, or an unrecognised label: outcome
-    /// unknown. Treated as trusted for dispatch (historical behaviour)
-    /// but excluded from predictor training.
+    /// unknown. Schedulers treat the row like an unrecorded loop.
     #[default]
     Unknown,
 }
@@ -65,8 +64,8 @@ impl RecordedOutcome {
 ///
 /// Cost observed under cube-and-conquer is not directly comparable to
 /// serial cost (cubes add setup overhead and
-/// change conflict totals), so the predictor needs to know how a number
-/// was measured before extrapolating from it.
+/// change conflict totals), so a reader needs to know how a number was
+/// measured before comparing it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RecordedStrategy {
     /// One incremental session, no cubes.
@@ -142,8 +141,8 @@ impl CostStat {
         self.outcome == RecordedOutcome::BudgetExhausted
     }
 
-    /// Whether the row is a true, decisive measurement suitable for
-    /// predictor training: the run finished on its own (summarised,
+    /// Whether the row is a true, decisive measurement suitable as a cost
+    /// estimate: the run finished on its own (summarised,
     /// proven not-memoryless, or degraded-but-complete) rather than
     /// being cut off or recorded by a pre-v2 book.
     pub fn trusted(self) -> bool {

@@ -29,10 +29,7 @@ pub use costs::{
 pub use db::{corpus, stateful_corpus, App, LoopEntry, APPS};
 pub use filter::{filter_report, passes_automatic_filters, FilterStage};
 pub use manual::{manual_category, ManualCategory};
-pub use plan::{
-    cube_tier, ljf_order, loop_features, CostModel, ExecutionPlanner, LoopFeatures, LoopPlan, Plan,
-    PlanCounts, Strategy,
-};
+pub use plan::{ljf_order, PlanCounts};
 pub use population::{generate_population, PopulationLoop, POPULATION_SPEC};
 
 #[cfg(test)]

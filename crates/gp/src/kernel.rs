@@ -1,6 +1,5 @@
-//! RBF kernels: over bit-vectors (Hamming distance) for vocabulary
-//! optimisation, and over real feature vectors (squared Euclidean
-//! distance) for the execution planner's cost regression.
+//! The RBF kernel over bit-vectors (Hamming distance) for vocabulary
+//! optimisation.
 
 /// Squared-exponential kernel `k(x,y) = σ² exp(−d_H(x,y) / (2ℓ²))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,51 +18,9 @@ impl RbfKernel {
     }
 }
 
-/// Squared-exponential kernel over real-valued feature vectors:
-/// `k(x,y) = σ² exp(−‖x−y‖² / (2ℓ²))`.
-///
-/// Inputs of different lengths are compared over their common prefix —
-/// callers are expected to use a fixed feature schema, so this is a
-/// lenient guard, not a feature.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VecKernel {
-    /// Length scale ℓ.
-    pub length_scale: f64,
-    /// Signal variance σ².
-    pub signal_variance: f64,
-}
-
-impl VecKernel {
-    /// Kernel value between two feature vectors.
-    pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
-        let d2: f64 = x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum();
-        self.signal_variance * (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vec_kernel_properties() {
-        let k = VecKernel {
-            length_scale: 1.0,
-            signal_variance: 2.0,
-        };
-        // Diagonal is the signal variance.
-        assert!((k.eval(&[1.0, 2.0], &[1.0, 2.0]) - 2.0).abs() < 1e-12);
-        // Symmetric.
-        assert_eq!(
-            k.eval(&[0.0, 1.0], &[3.0, 4.0]),
-            k.eval(&[3.0, 4.0], &[0.0, 1.0])
-        );
-        // Strictly decreasing in distance; never negative (it underflows
-        // to exactly 0.0 at extreme distances, which is still PSD-safe).
-        assert!(k.eval(&[0.0], &[1.0]) > k.eval(&[0.0], &[2.0]));
-        assert!(k.eval(&[0.0], &[10.0]) > 0.0);
-        assert!(k.eval(&[0.0], &[1000.0]) >= 0.0);
-    }
 
     #[test]
     fn kernel_properties() {

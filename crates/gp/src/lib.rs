@@ -31,9 +31,9 @@ pub mod linalg;
 pub mod regress;
 
 pub use ei::expected_improvement;
-pub use kernel::{RbfKernel, VecKernel};
+pub use kernel::RbfKernel;
 pub use linalg::Matrix;
-pub use regress::{Gp, VecGp};
+pub use regress::Gp;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -1,12 +1,7 @@
-//! Exact Gaussian-process regression.
-//!
-//! Two variants share the Cholesky machinery: [`Gp`] over vocabulary
-//! bit-vectors (the paper's §4.2.3 use case) and [`VecGp`] over real
-//! feature vectors (the execution planner's small-domain cost model —
-//! tens of observations, a handful of features, so exact O(n³)
-//! inference is cheap).
+//! Exact Gaussian-process regression over vocabulary bit-vectors (the
+//! paper's §4.2.3 use case).
 
-use crate::kernel::{RbfKernel, VecKernel};
+use crate::kernel::RbfKernel;
 use crate::linalg::Matrix;
 
 /// A fitted GP: caches the Cholesky factor of the kernel matrix and the
@@ -70,77 +65,6 @@ impl Gp {
     }
 }
 
-/// A fitted GP over real-valued feature vectors. Same zero-mean exact
-/// inference as [`Gp`], different input domain.
-#[derive(Debug, Clone)]
-pub struct VecGp {
-    xs: Vec<Vec<f64>>,
-    alpha: Vec<f64>,
-    chol: Matrix,
-    kernel: VecKernel,
-}
-
-impl VecGp {
-    /// Fits a zero-mean GP to the observations, with `noise` added to
-    /// the diagonal for numerical stability.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `xs` and `ys` have different lengths, or when the
-    /// kernel matrix is not positive definite even after jitter (can
-    /// only happen with duplicate inputs and zero noise).
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], kernel: VecKernel, noise: f64) -> VecGp {
-        assert_eq!(xs.len(), ys.len(), "one observation per input");
-        let n = xs.len();
-        let mut k = Matrix::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                let mut v = kernel.eval(&xs[i], &xs[j]);
-                if i == j {
-                    v += noise;
-                }
-                k.set(i, j, v);
-            }
-        }
-        let chol = k
-            .cholesky()
-            .or_else(|| {
-                let mut k2 = k.clone();
-                for i in 0..n {
-                    k2.set(i, i, k2.get(i, i) + 1e-4);
-                }
-                k2.cholesky()
-            })
-            .expect("kernel matrix must be positive definite");
-        let alpha = Matrix::cholesky_solve(&chol, ys);
-        VecGp {
-            xs: xs.to_vec(),
-            alpha,
-            chol,
-            kernel,
-        }
-    }
-
-    /// Number of observations the model was fitted on.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// Whether the model was fitted on zero observations.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Posterior mean and variance at `x`.
-    pub fn posterior(&self, x: &[f64]) -> (f64, f64) {
-        let kx: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
-        let mean: f64 = kx.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
-        let v = self.chol.forward_solve(&kx);
-        let var = self.kernel.eval(x, x) - v.iter().map(|vi| vi * vi).sum::<f64>();
-        (mean, var)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,46 +122,5 @@ mod tests {
         // And strictly: four observations know more than one.
         let (_, v1) = Gp::fit(&xs[..1], &ys[..1], kernel, 1e-9).posterior(query);
         assert!(prev < v1);
-    }
-
-    #[test]
-    fn vec_gp_interpolates_observations() {
-        let kernel = VecKernel {
-            length_scale: 1.0,
-            signal_variance: 1.0,
-        };
-        let xs = vec![vec![0.0, 0.0], vec![1.0, 0.5], vec![0.2, 2.0]];
-        let ys = vec![3.0, -1.0, 0.25];
-        let gp = VecGp::fit(&xs, &ys, kernel, 1e-9);
-        assert_eq!(gp.len(), 3);
-        assert!(!gp.is_empty());
-        for (x, y) in xs.iter().zip(&ys) {
-            let (mu, var) = gp.posterior(x);
-            assert!((mu - y).abs() < 1e-3, "mean at observed point");
-            assert!(var < 1e-3, "variance at observed point");
-        }
-    }
-
-    #[test]
-    fn vec_gp_variance_shrinks_with_data() {
-        let kernel = VecKernel {
-            length_scale: 1.0,
-            signal_variance: 1.0,
-        };
-        let query = vec![0.5, 0.5];
-        let xs = [
-            vec![0.0, 0.0],
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 1.0],
-        ];
-        let ys = [0.0, 1.0, 1.0, 2.0];
-        let mut prev = f64::INFINITY;
-        for n in 1..=xs.len() {
-            let gp = VecGp::fit(&xs[..n], &ys[..n], kernel, 1e-9);
-            let (_, var) = gp.posterior(&query);
-            assert!(var < prev + 1e-12, "variance rose at n={n}");
-            prev = var;
-        }
     }
 }

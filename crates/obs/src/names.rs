@@ -29,12 +29,10 @@ pub const RETRY_RECOVERED: &str = "retry.recovered";
 /// Malformed lines dropped by one `CostBook` load.
 pub const COSTBOOK_DROPPED: &str = "costbook.dropped";
 
-/// The execution planner assigned one loop the serial strategy.
+/// One loop of a batch run ran serial.
 pub const PLAN_SERIAL: &str = "plan.serial";
-/// The execution planner assigned one loop a cubed strategy.
+/// One loop of a batch run ran cubed.
 pub const PLAN_CUBED: &str = "plan.cubed";
-/// One loop's cost was predicted by the GP regression (no book row).
-pub const PLAN_MODELED: &str = "plan.modeled";
 
 /// Corrupt/truncated append-log lines dropped by one summary-store open.
 pub const STORE_DROPPED: &str = "store.dropped";
@@ -57,12 +55,10 @@ pub const SCHED_ADMITTED: &str = "sched.admitted";
 pub const SCHED_FAST_LANE: &str = "sched.fast_lane";
 /// One request dispatched from the cost-ordered synthesis heap.
 pub const SCHED_HEAP: &str = "sched.heap";
-/// One synthesis ran cubed under scheduler-granted core leases.
+/// One heap synthesis ran cubed because its request asked for it.
 pub const SCHED_CUBED: &str = "sched.cubed";
 /// One admission cost prediction came from a persisted `CostBook` row.
 pub const SCHED_PREDICTED_BOOK: &str = "sched.predicted.book";
-/// One admission cost prediction came from the in-process GP model.
-pub const SCHED_PREDICTED_MODEL: &str = "sched.predicted.model";
 /// One idle connection was closed by the per-connection read timeout.
 pub const SCHED_IDLE_CLOSED: &str = "sched.idle_closed";
 

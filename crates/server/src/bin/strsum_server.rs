@@ -31,15 +31,18 @@ const USAGE: &str = "usage: strsum-server [--store DIR] [--shards N] [--workers 
                      [--queue-depth N] [--fifo] [--socket PATH]
 
 Serves the strsum wire protocol (one JSON frame per line) on
-stdin/stdout, or on a Unix socket when --socket is given.
+stdin/stdout, or on a Unix socket when --socket is given. Syntheses
+queue longest-job-first by the cost book in DIR/costs.tsv; each runs
+serial unless its request's plan asks for cubes (capped at the host's
+core count).
 
   --store DIR      summary store directory (default: results/store)
   --shards N       shard count for a fresh store (default: 8)
   --workers N      worker threads (default: available parallelism)
   --queue-depth N  admitted-request bound before intake blocks
                    (default: 1024)
-  --fifo           arrival-order scheduling (disable the cost-ordered
-                   run queue; benchmark baseline)
+  --fifo           arrival-order scheduling (disable the cost-book
+                   ordered run queue; benchmark baseline)
   --socket PATH    listen on a Unix socket instead of stdio
 ";
 

@@ -7,7 +7,7 @@
 //! progress concurrently — the run queue is shared, so four clients
 //! replaying a corpus each keep every worker busy, and the scheduler
 //! (not arrival order) decides what runs next. See [`crate::sched`] for
-//! the queueing policy; [`Daemon::start`] uses the cost-model policy,
+//! the queueing policy; [`Daemon::start`] uses the cost-ordered policy,
 //! [`Daemon::with_options`] pins any other configuration.
 //!
 //! Shutdown is a drain, not an abort: a `shutdown` frame (or EOF) stops
@@ -50,13 +50,13 @@ pub struct Daemon {
 
 impl Daemon {
     /// Spawns `workers` threads (min 1) serving requests on `engine`
-    /// under the adaptive cost-model scheduler.
+    /// under the cost-ordered scheduler.
     pub fn start(engine: Arc<Engine>, workers: usize) -> Daemon {
         Daemon::with_options(engine, SchedOptions::scheduled(workers))
     }
 
     /// Spawns a daemon under an explicit scheduler configuration (the
-    /// FIFO baseline, a pinned core count, a custom queue depth).
+    /// FIFO baseline, a custom queue depth).
     pub fn with_options(engine: Arc<Engine>, opts: SchedOptions) -> Daemon {
         let sched = Scheduler::start(Arc::clone(&engine), opts);
         Daemon { engine, sched }
@@ -456,9 +456,9 @@ mod tests {
     }
 
     /// Satellite (determinism): identical response bytes at workers ∈
-    /// {1, 2, 4}. Cores are pinned to 1 so no cube leases are granted —
-    /// then even solver telemetry is invariant, and the comparison is
-    /// whole-frame bytes (wall clock zeroed).
+    /// {1, 2, 4}. Every synthesis runs serial, so even solver telemetry
+    /// is invariant, and the comparison is whole-frame bytes (wall clock
+    /// zeroed).
     #[test]
     fn responses_are_byte_identical_across_worker_counts() {
         let sources = [SKIP, UNTIL_NUL, "not c at all", SKIP, UNTIL_NUL, SKIP];
@@ -478,8 +478,7 @@ mod tests {
         for workers in [1usize, 2, 4] {
             let dir = test_dir(&format!("det{workers}"));
             let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-            let daemon =
-                Daemon::with_options(Arc::new(engine), SchedOptions::scheduled(workers).cores(1));
+            let daemon = Daemon::with_options(Arc::new(engine), SchedOptions::scheduled(workers));
             let responses = daemon.submit(requests("w"));
             runs.push(responses.into_iter().map(normalized).collect());
             daemon.shutdown().unwrap();
@@ -509,8 +508,7 @@ mod tests {
         let serve = |tag: &str, order: &[usize]| -> HashMap<String, String> {
             let dir = test_dir(tag);
             let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-            let daemon =
-                Daemon::with_options(Arc::new(engine), SchedOptions::scheduled(2).cores(1));
+            let daemon = Daemon::with_options(Arc::new(engine), SchedOptions::scheduled(2));
             let responses = daemon.submit(build(order));
             // Slot order must match admission order before keying by id.
             for (slot, &i) in order.iter().enumerate() {

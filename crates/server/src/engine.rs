@@ -24,11 +24,12 @@
 //! does.
 //!
 //! Every fresh synthesis is also recorded into a [`CostBook`], kept live
-//! in memory for the scheduler's predictions and merged into a book on
+//! in memory for the scheduler's estimates and merged into a book on
 //! disk via the atomic load-merge-rename save ([`Engine::save_costs`] for
 //! the daemon's `<store>/costs.tsv`, [`Engine::merge_costs_into`] for
 //! the batch runner's opt-in write-back), so served and batch traffic
-//! train the planner alike.
+//! order later runs alike. The book is the only source of cost
+//! estimates.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +41,7 @@ use strsum_core::{
     loop_fingerprint, summarize_loop, verify_summary, LoopOutcome, SolverTelemetry,
     SummarizeResult, Summary, SynthStats, SynthesisConfig,
 };
-use strsum_corpus::plan::{loop_features, CostModel, LoopFeatures};
+use strsum_corpus::plan::detected_cores;
 use strsum_corpus::{fingerprint_hash, CostBook, CostStat, RecordedOutcome, RecordedStrategy};
 use strsum_obs::names;
 use strsum_smt::SessionStats;
@@ -72,9 +73,8 @@ impl strsum_obs::ToJson for EngineStats {
     }
 }
 
-/// Where a scheduler cost estimate for one admitted request came from —
-/// the daemon-side mirror of the batch planner's row/model/cold-start
-/// distinction, with the same trust semantics.
+/// What the cost book says about one admitted request — the same trust
+/// semantics the batch runner's longest-job-first order applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostEstimate {
     /// A budget-capped book row: the recorded wall is a *lower bound*
@@ -83,10 +83,7 @@ pub enum CostEstimate {
     CappedRow(u64),
     /// A trusted book row: the recorded wall is the estimate.
     Row(u64),
-    /// Predicted by the in-process GP model over structural features
-    /// (no book row for this fingerprint).
-    Modeled(u64),
-    /// Nothing known — no row, no fitted model.
+    /// Nothing known — no trusted or capped row for this fingerprint.
     Unknown,
 }
 
@@ -94,26 +91,11 @@ impl CostEstimate {
     /// The predicted wall microseconds, when there is one.
     pub fn micros(self) -> Option<u64> {
         match self {
-            CostEstimate::CappedRow(m) | CostEstimate::Row(m) | CostEstimate::Modeled(m) => Some(m),
+            CostEstimate::CappedRow(m) | CostEstimate::Row(m) => Some(m),
             CostEstimate::Unknown => None,
         }
     }
 }
-
-/// The in-process cost model: observation pairs from this daemon
-/// lifetime's fresh syntheses, refitted lazily. The persisted book
-/// carries costs but not feature vectors, so the GP trains on what this
-/// process has seen; book rows answer repeat fingerprints directly.
-struct ModelState {
-    xs: Vec<LoopFeatures>,
-    ys_ln: Vec<f64>,
-    fitted: Option<CostModel>,
-    dirty: bool,
-}
-
-/// Most recent observations kept for GP training — a bound on the
-/// O(n³) refit, not on learning: book rows already cover older loops.
-const MODEL_WINDOW: usize = 256;
 
 /// The outcome of [`Engine::prepare`]: either the request resolved at
 /// admission (refusals — nothing to schedule), or a compiled,
@@ -133,7 +115,6 @@ pub struct PreparedTask {
     pub(crate) func: strsum_ir::Func,
     pub(crate) fp: Vec<u64>,
     pub(crate) key: u64,
-    pub(crate) features: LoopFeatures,
     pub(crate) cfg: SynthesisConfig,
     pub(crate) store_present: bool,
     pub(crate) estimate: CostEstimate,
@@ -161,11 +142,6 @@ impl PreparedTask {
     /// The request's scheduling priority.
     pub fn priority(&self) -> strsum_api::Priority {
         self.req.priority
-    }
-
-    /// The planner's structural features of the compiled loop.
-    pub fn features(&self) -> LoopFeatures {
-        self.features
     }
 
     /// The synthesis configuration the back half will run under, for
@@ -207,7 +183,6 @@ pub struct Engine {
     base: SynthesisConfig,
     book: RwLock<CostBook>,
     fresh: Mutex<CostBook>,
-    model: Mutex<ModelState>,
     book_path: PathBuf,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
@@ -231,12 +206,6 @@ impl Engine {
             base,
             book: RwLock::new(book),
             fresh: Mutex::new(CostBook::new()),
-            model: Mutex::new(ModelState {
-                xs: Vec::new(),
-                ys_ln: Vec::new(),
-                fitted: None,
-                dirty: false,
-            }),
             book_path,
             store_hits: AtomicU64::new(0),
             store_misses: AtomicU64::new(0),
@@ -302,31 +271,17 @@ impl Engine {
         disk.save(path)
     }
 
-    /// The scheduler's cost estimate for a fingerprint hash: a book row
-    /// when one exists (capped rows flagged as lower bounds), else the
-    /// in-process GP model over `features`, else [`CostEstimate::Unknown`].
-    /// Untrusted rows (crashed workers, v1 books) carry no credible
-    /// signal and fall through to the model.
-    pub fn estimate(&self, key: u64, features: Option<&LoopFeatures>) -> CostEstimate {
-        if let Some(row) = self.book.read().expect("cost book lock").get(key) {
-            if row.capped() {
-                return CostEstimate::CappedRow(row.wall_micros);
-            }
-            if row.trusted() {
-                return CostEstimate::Row(row.wall_micros);
-            }
+    /// The scheduler's cost estimate for a fingerprint hash, from the
+    /// live book: a capped row is flagged as a lower bound, a trusted row
+    /// is the estimate. Untrusted rows (crashed workers, v1 books) carry
+    /// no credible signal and estimate as [`CostEstimate::Unknown`], like
+    /// a fingerprint with no row.
+    pub fn estimate(&self, key: u64) -> CostEstimate {
+        match self.book.read().expect("cost book lock").get(key) {
+            Some(row) if row.capped() => CostEstimate::CappedRow(row.wall_micros),
+            Some(row) if row.trusted() => CostEstimate::Row(row.wall_micros),
+            _ => CostEstimate::Unknown,
         }
-        if let Some(f) = features {
-            let mut model = self.model.lock().expect("cost model lock");
-            if model.dirty {
-                model.fitted = CostModel::fit_points(&model.xs, &model.ys_ln);
-                model.dirty = false;
-            }
-            if let Some(m) = &model.fitted {
-                return CostEstimate::Modeled(m.predict_micros(f));
-            }
-        }
-        CostEstimate::Unknown
     }
 
     /// The effective synthesis config for one request: base defaults
@@ -339,14 +294,12 @@ impl Engine {
         cfg.screen = req.flags.screen;
         cfg.theory_fast_path = req.flags.theory_fast_path;
         if let Some(plan) = req.plan {
-            // Per-request execution: serial and cubed run as asked;
-            // adaptive starts from serial and defers to the daemon
-            // scheduler's core-lease grant (folded in by `resolve`) —
-            // byte-identical by the determinism contract, only wall
-            // clock differs.
+            // Serial and cubed run as asked, with the cube width capped
+            // at the host's cores: it is client input, and the cube
+            // merge theorem keeps the bytes identical at any width.
             cfg.intra_loop = match plan.mode {
-                PlanMode::Cubed(k) => k,
-                PlanMode::Serial | PlanMode::Adaptive => 1,
+                PlanMode::Cubed(k) => k.min(detected_cores()),
+                PlanMode::Serial => 1,
             };
         }
         cfg
@@ -354,9 +307,9 @@ impl Engine {
 
     /// Runs one request through the full lifecycle and produces its
     /// response — [`Engine::prepare`] and [`Engine::finish`] composed,
-    /// with no scheduler-granted cubes. This is the serial reference
-    /// path; the scheduler produces byte-identical responses because it
-    /// runs exactly these two halves.
+    /// at the request's own cube width. This is the reference path; the
+    /// scheduler produces byte-identical responses because it runs
+    /// exactly these two halves.
     pub fn handle(&self, req: &SummaryRequest) -> SummaryResponse {
         let start = Instant::now();
         let mut span = strsum_obs::span("serve.request", "server");
@@ -402,12 +355,11 @@ impl Engine {
         //    re-verification) and cost-orders the rest.
         let fp = loop_fingerprint(&func, cfg.max_ex_size);
         let key = fingerprint_hash(&fp);
-        let features = loop_features(&func, &source);
         let store_present = req.flags.store && self.store.lookup(&fp).is_some();
         let estimate = if store_present {
             CostEstimate::Unknown // irrelevant: no synthesis to size
         } else {
-            self.estimate(key, Some(&features))
+            self.estimate(key)
         };
         let prep_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         Prepared::Task(PreparedTask {
@@ -415,7 +367,6 @@ impl Engine {
             func,
             fp,
             key,
-            features,
             cfg,
             store_present,
             estimate,
@@ -457,9 +408,9 @@ impl Engine {
 
     /// The back half of the lifecycle: store lookup with mandatory
     /// re-verification, fresh synthesis on miss, publish, and cost
-    /// recording. `granted_cubes` is the scheduler's core-lease grant:
-    /// values above the request's own `intra_loop` raise it (the cube
-    /// merge theorem keeps the bytes identical at any k); 1 grants
+    /// recording. `granted_cubes` raises the request's own `intra_loop`
+    /// when larger (the batch runner passes its plan's cube count; the
+    /// cube merge theorem keeps the bytes identical at any k); 1 grants
     /// nothing.
     pub fn resolve(&self, task: PreparedTask, granted_cubes: usize) -> Resolution {
         let PreparedTask {
@@ -467,7 +418,6 @@ impl Engine {
             func,
             fp,
             key,
-            features,
             mut cfg,
             ..
         } = task;
@@ -542,7 +492,6 @@ impl Engine {
         let cube_k = cfg.intra_loop.max(1);
         self.record_cost(
             key,
-            &features,
             CostStat {
                 conflicts: stats.solver.total().conflicts,
                 wall_micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
@@ -574,26 +523,15 @@ impl Engine {
         }
     }
 
-    /// Records one fresh-synthesis cost into the live book (predictions
-    /// improve mid-run), the fresh book (merged to disk on shutdown),
-    /// and — when trusted — the model's training window.
-    fn record_cost(&self, key: u64, features: &LoopFeatures, stat: CostStat) {
+    /// Records one fresh-synthesis cost into the live book (estimates
+    /// improve mid-run) and the fresh book (merged to disk on shutdown).
+    fn record_cost(&self, key: u64, stat: CostStat) {
         self.fresh
             .lock()
             .expect("fresh cost book lock")
             .record(key, stat);
         self.book.write().expect("cost book lock").record(key, stat);
         self.costs_recorded.fetch_add(1, Ordering::Relaxed);
-        if stat.trusted() {
-            let mut model = self.model.lock().expect("cost model lock");
-            if model.xs.len() >= MODEL_WINDOW {
-                model.xs.remove(0);
-                model.ys_ln.remove(0);
-            }
-            model.xs.push(*features);
-            model.ys_ln.push((stat.wall_micros.max(1) as f64).ln());
-            model.dirty = true;
-        }
     }
 
     /// A NotMemoryless refusal with a failure message — the shape every
@@ -901,7 +839,7 @@ mod tests {
         let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
         let row = engine.booked(key).expect("persisted cost row loaded");
         assert!(row.trusted(), "summarized rows are trusted estimates");
-        assert!(matches!(engine.estimate(key, None), CostEstimate::Row(_)));
+        assert!(matches!(engine.estimate(key), CostEstimate::Row(_)));
         // And the store hit itself is costless: serving it records
         // nothing (a re-verification says nothing about synthesis cost).
         let resp = engine.handle(&SummaryRequest::c("c3", SKIP_SPACES));
@@ -910,30 +848,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// With no book row the estimate falls back to the GP model once
-    /// enough trusted observations accumulate in-process.
+    /// A client's cube width is capped at the host's cores: a 256-cube
+    /// request answers with the serial request's bytes and is recorded
+    /// at no more than `detected_cores()` cubes.
     #[test]
-    fn model_estimates_unbooked_fingerprints() {
-        let dir = tmp_dir("model");
+    fn requested_cube_width_is_capped_at_detected_cores() {
+        let dir = tmp_dir("cubecap");
         let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-        // Distinct loops (distinct fingerprints) to accumulate trusted
-        // observations; store off so every handle synthesises.
-        let sources = [
-            "char* loopFunction(char* s) {\n  while (*s == ' ') s++;\n  return s;\n}\n",
-            "char* loopFunction(char* s) {\n  while (*s) s++;\n  return s;\n}\n",
-            "char* loopFunction(char* s) {\n  while (*s == 'x') s++;\n  return s;\n}\n",
-            "char* loopFunction(char* s) {\n  while (*s == '\\t') s++;\n  return s;\n}\n",
-        ];
-        for (i, src) in sources.iter().enumerate() {
-            let mut req = SummaryRequest::c(format!("m{i}"), *src);
-            req.flags.store = false;
-            engine.handle(&req);
-        }
-        assert!(engine.costs_recorded() >= 4);
-        let estimate = engine.estimate(u64::MAX, Some(&[1.0, 0.5, 3.0, 2.0]));
+        let mut req = SummaryRequest::c("serial", SKIP_SPACES);
+        req.flags.store = false; // no cross-request store effects
+        let serial = engine.handle(&req);
+        req.id = "wide".to_string();
+        req.plan = Some(strsum_api::PlanSpec::cubed(256));
+        let task = match engine.prepare(req.clone()) {
+            Prepared::Task(task) => task,
+            Prepared::Done(r) => panic!("unexpected refusal: {:?}", r.failure),
+        };
+        let key = task.key();
+        let wide = engine.finish(task, 1);
+        assert_eq!(wide.outcome, serial.outcome);
+        assert_eq!(wide.summary, serial.summary, "bytes identical at any k");
+        let row = engine.booked(key).expect("the synthesis was recorded");
         assert!(
-            matches!(estimate, CostEstimate::Modeled(_)),
-            "unbooked key with features must use the model: {estimate:?}"
+            row.cube_k as usize <= detected_cores(),
+            "cube_k {} exceeds {} cores",
+            row.cube_k,
+            detected_cores()
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -14,10 +14,8 @@
 //!   for the scheduler, with every fresh synthesis recorded into the
 //!   store's `CostBook`.
 //! - [`sched`] — the cross-request scheduler: a shared run queue
-//!   ordering admitted work by predicted cost (fast lane for cheap
-//!   finishes, longest-job-first heap for syntheses) and a core-lease
-//!   arbiter that runs predicted-expensive loops cubed when cores are
-//!   spare.
+//!   ordering admitted work by its cost-book estimate (fast lane for
+//!   cheap finishes, longest-job-first heap for syntheses).
 //! - [`daemon`] — the service shell: line-framed stdin/stdout and
 //!   Unix-socket front ends (with per-connection idle timeouts)
 //!   speaking the `strsum-api` wire protocol, graceful drain on

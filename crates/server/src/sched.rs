@@ -1,14 +1,11 @@
 //! The cross-request scheduler: a shared run queue that orders admitted
-//! work by predicted cost instead of arrival, plus a core-lease arbiter
-//! that lets predicted-expensive syntheses run cubed when cores would
-//! otherwise idle.
+//! work by its cost-book estimate instead of arrival.
 //!
-//! The fixed pool this replaces (PR 8) pulled requests FIFO from one
-//! mpsc channel: a cheap store hit queued behind a 30-second synthesis,
-//! and an expensive loop admitted last serialised the tail of every
-//! mixed workload. This scheduler reuses the batch planner's cost
-//! vocabulary — `CostBook` rows, the GP cost model, the `cube_tier`
-//! cutoffs — across requests:
+//! The fixed pool this replaces pulled requests FIFO from one mpsc
+//! channel: a cheap store hit queued behind a 30-second synthesis, and
+//! an expensive loop admitted last serialised the tail of every mixed
+//! workload. This scheduler reuses the batch runner's cost vocabulary —
+//! `CostBook` rows and the fast-lane cutoff — across requests:
 //!
 //! - **Two lanes.** Admitted requests enter a raw intake queue; any
 //!   worker pops raw work, runs [`Engine::prepare`] (decode → compile →
@@ -22,34 +19,27 @@
 //! - **Longest-job-first.** The heap pops in the batch `ljf_order`
 //!   policy: budget-capped fingerprints (known at-least-this-expensive)
 //!   first by recorded wall descending, then unknown loops in admission
-//!   order, then trusted/modeled predictions by wall descending. Bulk-
-//!   priority requests sort after everything. LJF minimises makespan
-//!   when costs are roughly known; admission order breaks ties so no
-//!   request starves.
-//! - **Core leases.** The arbiter tracks spare cores (machine cores
-//!   minus busy workers; idle workers lend theirs while they wait).
-//!   A worker popping a predicted-expensive task asks [`cube_tier`] for
-//!   the cube width its prediction earns, leases up to that many spare
-//!   cores, runs [`Engine::finish`] at the granted width, and returns
-//!   the leases. When every core has its own request, nothing is
-//!   granted and every synthesis runs serial — exactly the fixed-pool
-//!   behaviour.
+//!   order, then trusted rows by wall descending. Bulk-priority requests
+//!   sort after everything. LJF minimises makespan when costs are
+//!   roughly known; admission order breaks ties so no request starves.
 //!
-//! Determinism: scheduling changes *when* and *at what cube width* work
-//! runs, never what it computes — the cube-merge theorem keeps summary
-//! bytes identical at any width, and responses are slotted by admission
-//! index. The [`Policy::Fifo`] variant disables ordering and leasing
-//! (every request runs `Engine::handle` in arrival order) and is the
-//! baseline the `serve_audit` benchmark compares against.
+//! Every synthesis runs at the cube width its request asked for (serial
+//! unless the plan says `cubed`); the scheduler grants no extra cores.
+//!
+//! Determinism: scheduling changes *when* work runs, never what it
+//! computes, and responses are slotted by admission index. The
+//! [`Policy::Fifo`] variant disables ordering (every request runs
+//! `Engine::handle` in arrival order) and is the baseline the
+//! `serve_audit` benchmark compares against.
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use strsum_api::{Priority, SummaryRequest, SummaryResponse};
-use strsum_corpus::plan::{cube_tier, detected_cores, Strategy, SERIAL_CUTOFF_MICROS};
+use strsum_corpus::plan::SERIAL_CUTOFF_MICROS;
 use strsum_obs::names;
 
 use crate::engine::{CostEstimate, Engine, Prepared, PreparedTask};
@@ -61,11 +51,11 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 /// How the run queue orders admitted work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// Arrival order, no fast lane, no core leases — the PR 8 fixed
-    /// pool, kept as the benchmark baseline.
+    /// Arrival order, no fast lane — the fixed pool, kept as the
+    /// benchmark baseline.
     Fifo,
-    /// Cost-model-driven: fast lane + LJF heap + core leases.
-    CostModel,
+    /// Cost-ordered from the book: fast lane + LJF heap.
+    CostOrdered,
 }
 
 /// Scheduler configuration.
@@ -77,44 +67,30 @@ pub struct SchedOptions {
     pub queue_depth: usize,
     /// Queue ordering policy.
     pub policy: Policy,
-    /// Cores the lease arbiter may hand out. Cube grants only happen
-    /// while `cores` exceeds busy workers; setting `cores = 1` (or
-    /// `workers`) pins every synthesis serial, which some determinism
-    /// tests use to also pin solver telemetry.
-    pub cores: usize,
 }
 
 impl SchedOptions {
-    /// The adaptive default: cost-ordered queue over `workers` threads,
-    /// leasing up to the detected core count.
+    /// The default: cost-ordered queue over `workers` threads.
     pub fn scheduled(workers: usize) -> SchedOptions {
         SchedOptions {
             workers: workers.max(1),
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            policy: Policy::CostModel,
-            cores: detected_cores(),
+            policy: Policy::CostOrdered,
         }
     }
 
-    /// The PR 8 fixed pool: FIFO, no leases. Benchmark baseline.
+    /// The fixed pool: FIFO. Benchmark baseline.
     pub fn fixed(workers: usize) -> SchedOptions {
         SchedOptions {
             workers: workers.max(1),
             queue_depth: DEFAULT_QUEUE_DEPTH,
             policy: Policy::Fifo,
-            cores: 1,
         }
     }
 
     /// Same options with an explicit queue depth (min 1).
     pub fn queue_depth(mut self, depth: usize) -> SchedOptions {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Same options with an explicit leasable core count (min 1).
-    pub fn cores(mut self, cores: usize) -> SchedOptions {
-        self.cores = cores.max(1);
         self
     }
 }
@@ -128,25 +104,17 @@ pub struct SchedStats {
     pub fast_lane: u64,
     /// Requests finished from the cost-ordered heap.
     pub heap: u64,
-    /// Syntheses that ran cubed under granted core leases.
+    /// Heap syntheses that ran cubed because their request asked for it.
     pub cubed: u64,
     /// Admission estimates served by a cost-book row.
     pub predicted_book: u64,
-    /// Admission estimates served by the in-process GP model.
-    pub predicted_model: u64,
 }
 
 impl strsum_obs::ToJson for SchedStats {
     fn to_json(&self) -> String {
         format!(
-            "{{\"admitted\":{},\"fast_lane\":{},\"heap\":{},\"cubed\":{},\
-             \"predicted_book\":{},\"predicted_model\":{}}}",
-            self.admitted,
-            self.fast_lane,
-            self.heap,
-            self.cubed,
-            self.predicted_book,
-            self.predicted_model
+            "{{\"admitted\":{},\"fast_lane\":{},\"heap\":{},\"cubed\":{},\"predicted_book\":{}}}",
+            self.admitted, self.fast_lane, self.heap, self.cubed, self.predicted_book
         )
     }
 }
@@ -168,7 +136,7 @@ struct HeapItem {
     task: Box<PreparedTask>,
     index: usize,
     reply: Sender<(usize, SummaryResponse)>,
-    /// LJF band: 3 capped, 2 unknown, 1 trusted/modeled, 0 bulk.
+    /// LJF band: 3 capped, 2 unknown, 1 trusted, 0 bulk.
     band: u8,
     /// Predicted wall microseconds (0 when unknown).
     wall: u64,
@@ -218,15 +186,11 @@ struct Shared {
     work_cv: Condvar,
     /// Submitters wait here for queue space.
     space_cv: Condvar,
-    /// Leasable cores: `cores - workers`, plus one per idle worker.
-    /// Negative when workers oversubscribe the machine — no leases then.
-    spare: AtomicIsize,
     admitted: AtomicU64,
     fast_lane: AtomicU64,
     heap_pops: AtomicU64,
     cubed: AtomicU64,
     predicted_book: AtomicU64,
-    predicted_model: AtomicU64,
 }
 
 /// The shared run queue and its worker pool.
@@ -250,13 +214,11 @@ impl Scheduler {
             }),
             work_cv: Condvar::new(),
             space_cv: Condvar::new(),
-            spare: AtomicIsize::new(opts.cores as isize - opts.workers.max(1) as isize),
             admitted: AtomicU64::new(0),
             fast_lane: AtomicU64::new(0),
             heap_pops: AtomicU64::new(0),
             cubed: AtomicU64::new(0),
             predicted_book: AtomicU64::new(0),
-            predicted_model: AtomicU64::new(0),
         });
         let workers = (0..opts.workers.max(1))
             .map(|_| {
@@ -312,7 +274,6 @@ impl Scheduler {
             heap: s.heap_pops.load(Ordering::Relaxed),
             cubed: s.cubed.load(Ordering::Relaxed),
             predicted_book: s.predicted_book.load(Ordering::Relaxed),
-            predicted_model: s.predicted_model.load(Ordering::Relaxed),
         }
     }
 
@@ -354,11 +315,7 @@ fn worker_loop(shared: &Shared) {
                 if st.closed {
                     return;
                 }
-                // Lend this core to the arbiter while idle: a cubed
-                // synthesis may use it until we wake.
-                shared.spare.fetch_add(1, Ordering::SeqCst);
                 st = shared.work_cv.wait(st).expect("scheduler lock");
-                shared.spare.fetch_sub(1, Ordering::SeqCst);
             }
         };
         match work {
@@ -386,16 +343,9 @@ fn run_raw(shared: &Shared, job: Job) {
     match shared.engine.prepare(req) {
         Prepared::Done(resp) => complete(shared, &reply, index, resp),
         Prepared::Task(task) => {
-            match task.estimate() {
-                CostEstimate::Row(_) | CostEstimate::CappedRow(_) => {
-                    shared.predicted_book.fetch_add(1, Ordering::Relaxed);
-                    strsum_obs::counter(names::SCHED_PREDICTED_BOOK, "server", 1);
-                }
-                CostEstimate::Modeled(_) => {
-                    shared.predicted_model.fetch_add(1, Ordering::Relaxed);
-                    strsum_obs::counter(names::SCHED_PREDICTED_MODEL, "server", 1);
-                }
-                CostEstimate::Unknown => {}
+            if task.estimate().micros().is_some() {
+                shared.predicted_book.fetch_add(1, Ordering::Relaxed);
+                strsum_obs::counter(names::SCHED_PREDICTED_BOOK, "server", 1);
             }
             if fast_lane(&task) {
                 shared.fast_lane.fetch_add(1, Ordering::Relaxed);
@@ -420,28 +370,15 @@ fn run_raw(shared: &Shared, job: Job) {
     }
 }
 
-/// Finishes one heap task, leasing spare cores for a cube grant when the
-/// prediction earns one.
+/// Finishes one heap task at the cube width its request asked for.
 fn run_heavy(shared: &Shared, item: HeapItem) {
     shared.heap_pops.fetch_add(1, Ordering::Relaxed);
     strsum_obs::counter(names::SCHED_HEAP, "server", 1);
-    let mut extra = 0usize;
-    if item.task.estimate().micros().is_some() {
-        // This worker's core plus whatever is spare right now.
-        let avail = shared.spare.load(Ordering::SeqCst).max(0) as usize;
-        if let Strategy::Cubed(k) = cube_tier(item.wall, 1 + avail) {
-            extra = take_leases(&shared.spare, k.saturating_sub(1));
-        }
-    }
-    let cubes = 1 + extra;
-    if cubes > 1 {
+    if item.task.cfg.intra_loop > 1 {
         shared.cubed.fetch_add(1, Ordering::Relaxed);
         strsum_obs::counter(names::SCHED_CUBED, "server", 1);
     }
-    let resp = shared.engine.finish(*item.task, cubes);
-    if extra > 0 {
-        shared.spare.fetch_add(extra as isize, Ordering::SeqCst);
-    }
+    let resp = shared.engine.finish(*item.task, 1);
     complete(shared, &item.reply, item.index, resp);
 }
 
@@ -473,7 +410,7 @@ fn fast_lane(task: &PreparedTask) -> bool {
         return true;
     }
     match task.estimate() {
-        CostEstimate::Row(m) | CostEstimate::Modeled(m) => m < SERIAL_CUTOFF_MICROS,
+        CostEstimate::Row(m) => m < SERIAL_CUTOFF_MICROS,
         // A capped row is a *lower bound*: even a small recorded wall
         // means "at least this much", so never fast-lane it.
         CostEstimate::CappedRow(_) | CostEstimate::Unknown => false,
@@ -490,28 +427,7 @@ fn ljf_band(task: &PreparedTask) -> (u8, u64) {
     match task.estimate() {
         CostEstimate::CappedRow(_) => (3, wall),
         CostEstimate::Unknown => (2, 0),
-        CostEstimate::Row(_) | CostEstimate::Modeled(_) => (1, wall),
-    }
-}
-
-/// Takes up to `want` leases from the spare-core pool (CAS loop; never
-/// drives the pool negative).
-fn take_leases(spare: &AtomicIsize, want: usize) -> usize {
-    if want == 0 {
-        return 0;
-    }
-    loop {
-        let cur = spare.load(Ordering::SeqCst);
-        if cur <= 0 {
-            return 0;
-        }
-        let take = cur.min(want as isize);
-        if spare
-            .compare_exchange(cur, cur - take, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return take as usize;
-        }
+        CostEstimate::Row(_) => (1, wall),
     }
 }
 
@@ -627,20 +543,6 @@ mod tests {
         assert_eq!(ranks, [capped, unknown, trusted_big, trusted_small, bulk]);
         let earlier = mk(1, 10, 1);
         assert!(earlier > trusted_small, "ties pop in admission order");
-    }
-
-    #[test]
-    fn lease_arbiter_never_goes_negative_and_returns() {
-        let spare = AtomicIsize::new(3);
-        assert_eq!(take_leases(&spare, 7), 3, "grants what exists");
-        assert_eq!(spare.load(Ordering::SeqCst), 0);
-        assert_eq!(take_leases(&spare, 1), 0, "empty pool grants nothing");
-        spare.fetch_add(3, Ordering::SeqCst); // return
-        assert_eq!(take_leases(&spare, 2), 2);
-        assert_eq!(spare.load(Ordering::SeqCst), 1);
-        let negative = AtomicIsize::new(-2); // oversubscribed pool
-        assert_eq!(take_leases(&negative, 4), 0);
-        assert_eq!(negative.load(Ordering::SeqCst), -2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! dropped with a counted warning, never served).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use strsum_server::ShardedStore;
 
@@ -36,13 +36,23 @@ fn readers_only_observe_fully_written_records() {
     const KEYS: u64 = 400;
 
     // 6 readers hammer lookups while 1 writer inserts and tombstones.
-    let readers: Vec<_> = (0..6)
+    // All seven start together behind the barrier, and every reader runs
+    // one more full pass after the writer finishes, so each one reads
+    // the store both during and after the writes however the threads
+    // are scheduled. `done` is stored with Release and loaded with
+    // Acquire, so a reader that sees it set also sees every insert.
+    const READERS: usize = 6;
+    let start = Arc::new(Barrier::new(READERS + 1));
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let store = Arc::clone(&store);
             let done = Arc::clone(&done);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut observed = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                start.wait();
+                loop {
+                    let last_pass = done.load(Ordering::Acquire);
                     for i in 0..KEYS {
                         if let Some(bytes) = store.lookup(&fp(i)) {
                             // Never a partial record: whatever is
@@ -51,19 +61,23 @@ fn readers_only_observe_fully_written_records() {
                             observed += 1;
                         }
                     }
+                    if last_pass {
+                        break;
+                    }
                 }
                 observed
             })
         })
         .collect();
 
+    start.wait();
     for i in 0..KEYS {
         store.insert(fp(i), payload(i)).unwrap();
         if i % 7 == 0 {
             store.remove(&fp(i)).unwrap();
         }
     }
-    done.store(true, Ordering::Relaxed);
+    done.store(true, Ordering::Release);
     let seen: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(seen > 0, "readers raced the writer and saw live records");
 
