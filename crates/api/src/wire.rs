@@ -157,6 +157,11 @@ pub enum Origin {
     /// Served from the persistent store (and therefore re-verified —
     /// see [`SummaryResponse::reverified`]).
     Store,
+    /// A deterministic negative (`not_memoryless`, or a conflict, path
+    /// or step budget exhausted) served from the verdict memo: recorded
+    /// by an earlier synthesis of the exact same IR under the exact same
+    /// effective config. Carries no summary and is not re-verified.
+    Memo,
 }
 
 impl Origin {
@@ -165,6 +170,7 @@ impl Origin {
         match self {
             Origin::Fresh => "fresh",
             Origin::Store => "store",
+            Origin::Memo => "memo",
         }
     }
 }
@@ -201,8 +207,8 @@ pub struct SummaryResponse {
     /// Human-readable failure detail, when synthesis concluded without
     /// a summary.
     pub failure: Option<String>,
-    /// Whether the summary was synthesised now or served from the
-    /// store.
+    /// Whether the answer was synthesised now, served from the store,
+    /// or served from the verdict memo.
     pub origin: Origin,
     /// True iff a store-served summary was re-verified by the bounded
     /// checker in this process lifetime. The soundness gate requires
@@ -656,6 +662,7 @@ fn decode_response(obj: &Json) -> Result<SummaryResponse, DecodeError> {
     let origin = match obj.get("origin").and_then(Json::as_str) {
         None | Some("fresh") => Origin::Fresh,
         Some("store") => Origin::Store,
+        Some("memo") => Origin::Memo,
         Some(other) => return Err(DecodeError::new(format!("unknown origin {other:?}"))),
     };
     let cost = match obj.get("cost") {
@@ -865,6 +872,24 @@ mod tests {
             let line = encode_frame(&frame);
             assert_eq!(decode_frame(&line).unwrap(), frame, "{line}");
         }
+    }
+
+    #[test]
+    fn memo_origin_round_trips_and_unknown_origins_are_rejected() {
+        let mut resp = SummaryResponse::new(
+            "git_05",
+            LoopOutcome::BudgetExhausted(BudgetKind::SolverConflicts),
+        );
+        resp.failure = Some("solver gave up on candidate search".into());
+        resp.origin = Origin::Memo;
+        let frame = Frame::Response(resp);
+        let line = encode_frame(&frame);
+        assert!(line.contains("\"origin\":\"memo\""), "{line}");
+        assert!(line.contains("\"reverified\":false"), "{line}");
+        assert_eq!(decode_frame(&line).unwrap(), frame);
+        let bogus = line.replace("\"memo\"", "\"cache\"");
+        let err = decode_frame(&bogus).unwrap_err();
+        assert!(err.message.contains("unknown origin"), "{}", err.message);
     }
 
     #[test]

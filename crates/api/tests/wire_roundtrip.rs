@@ -1,6 +1,7 @@
 //! Satellite: encode → decode is the identity for every wire frame, over
 //! randomly generated requests and responses — every `LoopOutcome`
-//! variant, non-UTF8 loop sources, extreme `u64` counters.
+//! variant, every `Origin`, non-UTF8 loop sources, extreme `u64`
+//! counters.
 
 use std::time::Duration;
 
@@ -154,7 +155,7 @@ fn any_response() -> impl Strategy<Value = SummaryResponse> {
             ],
             prop_oneof![Just(None), ".{0,32}".prop_map(Some)],
         ),
-        any::<bool>(),
+        prop_oneof![Just(Origin::Fresh), Just(Origin::Store), Just(Origin::Memo)],
         any::<bool>(),
         (any::<u64>(), any::<u64>()),
         prop_oneof![
@@ -169,7 +170,7 @@ fn any_response() -> impl Strategy<Value = SummaryResponse> {
                 outcome,
                 summary,
                 (kind, closed_form, failure),
-                store,
+                origin,
                 reverified,
                 (wall, conflicts),
                 telemetry,
@@ -181,7 +182,7 @@ fn any_response() -> impl Strategy<Value = SummaryResponse> {
                     kind,
                     closed_form,
                     failure,
-                    origin: if store { Origin::Store } else { Origin::Fresh },
+                    origin,
                     reverified,
                     cost: Cost {
                         wall_micros: wall,

@@ -14,11 +14,19 @@
 //! - **Byte identity (restart).** The daemon is then shut down —
 //!   draining, compacting — and a new daemon is opened over the same
 //!   store directory. The replay must serve every previously
-//!   summarised loop from the reloaded store, byte-identical.
+//!   summarised loop from the reloaded store, byte-identical, and every
+//!   deterministic negative of the cold pass (`not_memoryless`, or a
+//!   conflict/path/step cap) from the verdict memo (`origin == memo`)
+//!   with the cold pass's outcome and failure. Because the loops the
+//!   audit's budget leaves unsummarised run out of wall clock, which
+//!   the memo never keeps, they are also re-asked under a
+//!   100-conflict cap by a fresh daemon and a restarted one; the
+//!   restart must answer them from the memo (`memo` in the artifact).
 //! - **Soundness.** Every store hit must have been re-verified by the
 //!   bounded checker: the warm pass requires `origin == store` and
 //!   `reverified` on each hit, and the engine counters must satisfy
-//!   `reverified == store_hits + rejected` with `rejected == 0`.
+//!   `reverified == store_hits + rejected` with `rejected == 0` (memo
+//!   answers are not store hits).
 //!
 //! Serving metrics (throughput, p50/p99 latency, store hit rate) land
 //! in `results/BENCH_pr8.json` for the CI artifact.
@@ -55,7 +63,8 @@ use strsum_bench::{write_result, Cli, CorpusRunner, LoopSynth, PlanSpec, Request
 use strsum_core::{LoopOutcome, SynthesisConfig};
 use strsum_obs::ToJson;
 use strsum_server::{
-    serve_unix_socket, Daemon, Engine, EngineStats, SchedOptions, SchedStats, DEFAULT_IDLE_TIMEOUT,
+    memoizable, serve_unix_socket, Daemon, Engine, EngineStats, SchedOptions, SchedStats,
+    DEFAULT_IDLE_TIMEOUT,
 };
 
 /// Wall-clock-raced verdicts, the only legitimate divergence between
@@ -78,6 +87,56 @@ fn response_timing_dependent(r: &SummaryResponse) -> bool {
         r.failure.as_deref(),
         Some("timeout" | "solver gave up on candidate search")
     )
+}
+
+/// The conflict cap the budget-tail loops are re-asked under: low
+/// enough that a loop which runs out of wall clock at the audit's
+/// budget runs out of conflicts first, in about 0.1 s (at 1500, some
+/// corpus loops still spend 10 s on many small queries).
+const MEMO_CONFLICTS: u64 = 100;
+
+/// The restart gate of the verdict memo: every negative `cold` reached
+/// by synthesis (it has telemetry) or served from the memo itself, and
+/// whose outcome the memo keeps, must come back in `warm` from the memo
+/// — and every memo answer must carry the cold outcome and failure.
+fn memo_violations(
+    phase: &str,
+    cold: &HashMap<&str, &SummaryResponse>,
+    warm: &[SummaryResponse],
+    stats: &EngineStats,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut served = 0u64;
+    for resp in warm {
+        let before = cold[resp.id.as_str()];
+        let memoized = memoizable(&before.outcome)
+            && (before.telemetry.is_some() || before.origin == Origin::Memo);
+        if memoized && resp.origin != Origin::Memo {
+            violations.push(format!(
+                "{phase}/{}: deterministic negative {:?} answered {} ({:?}), not from the verdict memo",
+                resp.id,
+                before.outcome,
+                resp.origin.label(),
+                resp.outcome
+            ));
+        }
+        if resp.origin == Origin::Memo {
+            served += 1;
+            if resp.outcome != before.outcome || resp.failure != before.failure {
+                violations.push(format!(
+                    "{phase}/{}: memo answer differs from the fresh one — {:?} {:?} then {:?} {:?}",
+                    resp.id, before.outcome, before.failure, resp.outcome, resp.failure
+                ));
+            }
+        }
+    }
+    if stats.verdict_hits != served {
+        violations.push(format!(
+            "{phase}: verdict hits {} != {served} memo answers",
+            stats.verdict_hits
+        ));
+    }
+    violations
 }
 
 /// One daemon lifetime: open the store, serve `batches` from concurrent
@@ -285,11 +344,15 @@ fn main() -> ExitCode {
         &batches,
     );
     println!(
-        "warm:  {loops} answers in {warm_secs:.2}s  ({} hits, {} misses, {} reverified)",
-        warm_stats.store_hits, warm_stats.store_misses, warm_stats.reverified
+        "warm:  {loops} answers in {warm_secs:.2}s  ({} hits, {} misses, {} reverified, {} memo)",
+        warm_stats.store_hits,
+        warm_stats.store_misses,
+        warm_stats.reverified,
+        warm_stats.verdict_hits
     );
     let cold_by_id: HashMap<&str, &SummaryResponse> =
         cold.iter().map(|r| (r.id.as_str(), r)).collect();
+    violations.extend(memo_violations("warm", &cold_by_id, &warm, &warm_stats));
     let mut expected_hits = 0u64;
     for resp in &warm {
         let before = cold_by_id[resp.id.as_str()];
@@ -348,6 +411,49 @@ fn main() -> ExitCode {
         ));
     }
 
+    // ---- Phase 2b: the budget tail, conflict-capped, across a restart --
+    // At the audit's budget the unsummarised loops run out of wall
+    // clock, which the verdict memo never keeps. Asked again under a
+    // conflict cap they fail deterministically: a fresh daemon records
+    // those verdicts, and a restarted one must answer each from the memo.
+    let tail_requests: Vec<SummaryRequest> = entries
+        .iter()
+        .filter(|e| cold_by_id[e.id.as_str()].summary.is_none())
+        .map(|e| {
+            let mut req = SummaryRequest::c(e.id.clone(), e.source.clone());
+            req.budget = Some(cfg.budget.with_solver_conflicts(MEMO_CONFLICTS));
+            req
+        })
+        .collect();
+    let tail_loops = tail_requests.len();
+    let tail_batches = vec![BatchRequest {
+        id: "tail".into(),
+        requests: tail_requests,
+    }];
+    let memo_store = scratch.join("store-memo");
+    let opts = SchedOptions::scheduled(threads);
+    let (tail_cold, _, _, tail_cold_secs) =
+        daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
+    let (tail_warm, tail_stats, _, tail_warm_secs) =
+        daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
+    println!(
+        "tail:  {tail_loops} capped loops in {tail_cold_secs:.2}s, restarted {tail_warm_secs:.2}s ({} memo)",
+        tail_stats.verdict_hits
+    );
+    let tail_cold_by_id: HashMap<&str, &SummaryResponse> =
+        tail_cold.iter().map(|r| (r.id.as_str(), r)).collect();
+    violations.extend(memo_violations(
+        "tail",
+        &tail_cold_by_id,
+        &tail_warm,
+        &tail_stats,
+    ));
+    if tail_loops > 0 && tail_stats.verdict_hits == 0 {
+        violations.push(format!(
+            "no budget-tail loop failed deterministically at {MEMO_CONFLICTS} conflicts — the memo gate checked nothing"
+        ));
+    }
+
     // ---- Metrics + artifact ------------------------------------------
     let mut lat: Vec<u64> = warm.iter().map(|r| r.cost.wall_micros).collect();
     lat.sort_unstable();
@@ -381,6 +487,11 @@ fn main() -> ExitCode {
         json,
         "  \"warm\": {{\"elapsed_secs\": {warm_secs:.3}, \"throughput_rps\": {throughput:.2}, \"p50_latency_micros\": {p50}, \"p99_latency_micros\": {p99}, \"store_hit_rate\": {hit_rate:.4}, \"stats\": {}}},",
         warm_stats.to_json()
+    );
+    let _ = writeln!(
+        json,
+        "  \"memo\": {{\"loops\": {tail_loops}, \"solver_conflicts\": {MEMO_CONFLICTS}, \"cold_elapsed_secs\": {tail_cold_secs:.3}, \"warm_elapsed_secs\": {tail_warm_secs:.3}, \"stats\": {}}},",
+        tail_stats.to_json()
     );
     let _ = writeln!(
         json,

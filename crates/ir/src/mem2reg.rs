@@ -11,7 +11,7 @@ use crate::dom::DomTree;
 use crate::func::{BlockId, Func, InstrId};
 use crate::instr::{Instr, Operand};
 use crate::types::Ty;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Runs mem2reg on `func` in place. Returns the number of promoted allocas.
 pub fn run(func: &mut Func) -> usize {
@@ -199,9 +199,11 @@ pub fn run(func: &mut Func) -> usize {
     promotable.len()
 }
 
-/// Allocas whose only uses are direct loads and stores-to.
-fn find_promotable(func: &Func) -> HashSet<InstrId> {
-    let mut allocas: HashSet<InstrId> = HashSet::new();
+/// Allocas whose only uses are direct loads and stores-to, in id order:
+/// φ-nodes are inserted per alloca in this order, so an ordered set keeps
+/// the pass (and the printed IR) the same on every run.
+fn find_promotable(func: &Func) -> BTreeSet<InstrId> {
+    let mut allocas: BTreeSet<InstrId> = BTreeSet::new();
     for bid in func.block_ids() {
         for &iid in &func.block(bid).instrs {
             if matches!(func.instr(iid), Instr::Alloca { .. }) {

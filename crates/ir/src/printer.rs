@@ -89,9 +89,15 @@ pub fn print(func: &Func) -> String {
                         op_str(func, *arg)
                     )
                 }
-                Instr::Call { callee, args, .. } => {
+                Instr::Call {
+                    callee,
+                    args,
+                    ret_ty,
+                    ..
+                } => {
+                    let ret = ret_ty.map_or_else(|| "void".to_string(), |t| t.to_string());
                     let a: Vec<String> = args.iter().map(|&x| op_str(func, x)).collect();
-                    format!("{lhs} = call @{callee}({})", a.join(", "))
+                    format!("{lhs} = call {ret} @{callee}({})", a.join(", "))
                 }
                 Instr::Phi { incomings, ty } => {
                     let inc: Vec<String> = incomings

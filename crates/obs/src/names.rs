@@ -47,6 +47,11 @@ pub const STORE_MISS: &str = "store.miss";
 pub const STORE_REVERIFIED: &str = "store.reverified";
 /// One store hit failed re-verification and was tombstoned.
 pub const STORE_REJECTED: &str = "store.rejected";
+/// One request was answered from the verdict memo (a deterministic
+/// negative recorded under its exact IR and config).
+pub const STORE_VERDICT_HIT: &str = "store.verdict_hit";
+/// One deterministic negative was recorded into the verdict memo.
+pub const STORE_VERDICT_STORED: &str = "store.verdict_stored";
 
 /// One request admitted to the daemon scheduler's run queue.
 pub const SCHED_ADMITTED: &str = "sched.admitted";
@@ -61,6 +66,9 @@ pub const SCHED_CUBED: &str = "sched.cubed";
 pub const SCHED_PREDICTED_BOOK: &str = "sched.predicted.book";
 /// One idle connection was closed by the per-connection read timeout.
 pub const SCHED_IDLE_CLOSED: &str = "sched.idle_closed";
+/// One connection was closed for sending a frame over the daemon's
+/// frame-size cap.
+pub const SCHED_FRAME_OVERSIZED: &str = "sched.frame_oversized";
 
 /// Feasibility queries the constructive string theory answered Sat.
 pub const SYMEX_THEORY_SAT: &str = "symex.feasible.theory_sat";

@@ -112,10 +112,11 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "strsum-server: store {} ({} shards, {} entries, {} cost rows), {} workers, {} scheduling",
+        "strsum-server: store {} ({} shards, {} entries, {} verdicts, {} cost rows), {} workers, {} scheduling",
         args.store.display(),
         engine.store().shard_count(),
         engine.store().len(),
+        engine.store().verdict_count(),
         engine.cost_book_rows(),
         args.workers.max(1),
         if args.fifo { "fifo" } else { "cost-ordered" },
@@ -155,7 +156,7 @@ fn main() -> ExitCode {
     }
     eprintln!(
         "strsum-server: drained; hits {} misses {} reverified {} rejected {}; \
-         fast-lane {} heap {} cubed {}",
+         fast-lane {} heap {} cubed {}; verdicts {}",
         stats.store_hits,
         stats.store_misses,
         stats.reverified,
@@ -163,6 +164,7 @@ fn main() -> ExitCode {
         sched.fast_lane,
         sched.heap,
         sched.cubed,
+        stats.verdict_hits,
     );
     ExitCode::SUCCESS
 }

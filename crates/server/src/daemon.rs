@@ -40,6 +40,48 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 /// flag while blocked on a quiet socket.
 const READ_TICK: Duration = Duration::from_millis(100);
 
+/// The largest frame (one line, newline excluded) the daemon reads:
+/// 4 MiB, over 160 times the whole 127-loop corpus sent as one batch
+/// frame (25.6 kB). A longer line gets an `error` frame and the connection is
+/// closed, so a client cannot make the daemon buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// Reads from `reader` into `buf` up to and including the next newline,
+/// never letting `buf` grow past [`MAX_FRAME_BYTES`] + 1 bytes. Bytes
+/// read before an error stay in `buf`, so a read interrupted by a
+/// timeout resumes where it stopped.
+fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    let room = (MAX_FRAME_BYTES + 1).saturating_sub(buf.len()) as u64;
+    std::io::Read::take(reader, room).read_until(b'\n', buf)
+}
+
+/// Whether `buf` holds more than a frame's worth of bytes with no
+/// newline among them.
+fn oversized(buf: &[u8]) -> bool {
+    buf.len() > MAX_FRAME_BYTES && buf.last() != Some(&b'\n')
+}
+
+/// The error frame answering an oversized line, counted on
+/// [`names::SCHED_FRAME_OVERSIZED`].
+fn oversized_error() -> Frame {
+    strsum_obs::counter(names::SCHED_FRAME_OVERSIZED, "server", 1);
+    protocol_error(
+        None,
+        &format!("frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"),
+    )
+}
+
+/// What one input line asks of the daemon.
+enum LineReply {
+    /// A blank line: nothing to answer.
+    Blank,
+    /// Write this frame back (boxed: a frame is large, the other
+    /// variants empty).
+    Frame(Box<Frame>),
+    /// A `shutdown` frame: stop intake.
+    Shutdown,
+}
+
 /// The scheduler and its intake. Cloneable handle semantics come from
 /// `Arc`-wrapping by callers; the daemon itself is consumed by
 /// [`Daemon::shutdown`].
@@ -118,31 +160,54 @@ impl Daemon {
         }
     }
 
+    /// Answers one complete input line (newline optional).
+    fn answer_line(&self, line: &[u8]) -> LineReply {
+        let Ok(text) = std::str::from_utf8(line) else {
+            return LineReply::Frame(Box::new(protocol_error(None, "frame is not valid UTF-8")));
+        };
+        let text = text.trim();
+        if text.is_empty() {
+            return LineReply::Blank;
+        }
+        match decode_frame(text) {
+            Ok(frame) => match self.handle_frame(frame) {
+                Some(reply) => LineReply::Frame(Box::new(reply)),
+                None => LineReply::Shutdown,
+            },
+            Err(e) => LineReply::Frame(Box::new(protocol_error(None, &e.message))),
+        }
+    }
+
     /// Reads line frames from `input` and writes answer frames to
     /// `output` until EOF or a `shutdown` frame. Malformed lines get an
     /// `error` frame; the connection keeps serving (a typo'd frame must
-    /// not kill a session). Returns whether a `shutdown` frame was seen.
+    /// not kill a session). A line over [`MAX_FRAME_BYTES`] gets an
+    /// `error` frame and ends the session. Returns whether a `shutdown`
+    /// frame was seen.
     pub fn serve_lines(
         &self,
-        input: impl BufRead,
+        mut input: impl BufRead,
         mut output: impl Write,
     ) -> std::io::Result<bool> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            if read_frame(&mut input, &mut buf)? == 0 {
+                return Ok(false); // EOF
             }
-            let reply = match decode_frame(&line) {
-                Ok(frame) => match self.handle_frame(frame) {
-                    Some(reply) => reply,
-                    None => return Ok(true), // shutdown: stop intake
-                },
-                Err(e) => protocol_error(None, &e.message),
+            if oversized(&buf) {
+                writeln!(output, "{}", encode_frame(&oversized_error()))?;
+                output.flush()?;
+                return Ok(false);
+            }
+            let reply = match self.answer_line(&buf) {
+                LineReply::Blank => continue,
+                LineReply::Frame(reply) => reply,
+                LineReply::Shutdown => return Ok(true), // stop intake
             };
             writeln!(output, "{}", encode_frame(&reply))?;
             output.flush()?;
         }
-        Ok(false)
     }
 
     /// Stops intake, drains the run queue (every admitted request still
@@ -206,8 +271,10 @@ pub fn serve_unix_socket(
 
 /// Serves one socket connection with an idle timeout: reads tick every
 /// [`READ_TICK`] so the thread notices both a quiet client (close after
-/// `idle` of silence) and a daemon-wide stop. Returns whether a
-/// `shutdown` frame was seen, like [`Daemon::serve_lines`].
+/// `idle` of silence) and a daemon-wide stop. A line over
+/// [`MAX_FRAME_BYTES`] gets an `error` frame and closes the connection.
+/// Returns whether a `shutdown` frame was seen, like
+/// [`Daemon::serve_lines`].
 fn serve_connection(
     daemon: &Daemon,
     stream: std::os::unix::net::UnixStream,
@@ -221,23 +288,24 @@ fn serve_connection(
     let mut idled = Duration::ZERO;
     // `line` persists across timeouts: a tick can interrupt mid-line,
     // leaving a partial read that the next tick completes.
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        match read_frame(&mut reader, &mut line) {
             Ok(0) => return Ok(false), // EOF: client closed
             Ok(_) => {
                 idled = Duration::ZERO;
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let reply = match decode_frame(trimmed) {
-                        Ok(frame) => match daemon.handle_frame(frame) {
-                            Some(reply) => reply,
-                            None => return Ok(true), // shutdown frame
-                        },
-                        Err(e) => protocol_error(None, &e.message),
-                    };
-                    writeln!(out, "{}", encode_frame(&reply))?;
+                if oversized(&line) {
+                    writeln!(out, "{}", encode_frame(&oversized_error()))?;
                     out.flush()?;
+                    return Ok(false);
+                }
+                match daemon.answer_line(&line) {
+                    LineReply::Blank => {}
+                    LineReply::Frame(reply) => {
+                        writeln!(out, "{}", encode_frame(&reply))?;
+                        out.flush()?;
+                    }
+                    LineReply::Shutdown => return Ok(true),
                 }
                 line.clear();
             }
@@ -554,6 +622,151 @@ mod tests {
             engine.cost_book_rows() >= 2,
             "second daemon loads the first run's rows"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Starts `daemon` on a socket in `dir`; returns the stop flag, the
+    /// acceptor thread and the socket path.
+    fn listen(
+        daemon: &Arc<Daemon>,
+        dir: &std::path::Path,
+    ) -> (
+        Arc<AtomicBool>,
+        JoinHandle<std::io::Result<()>>,
+        std::path::PathBuf,
+    ) {
+        let stop = Arc::new(AtomicBool::new(false));
+        let sock = dir.join("d.sock");
+        let acceptor = {
+            let daemon = Arc::clone(daemon);
+            let sock = sock.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                serve_unix_socket(&daemon, &sock, &stop, DEFAULT_IDLE_TIMEOUT)
+            })
+        };
+        while !sock.exists() {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        (stop, acceptor, sock)
+    }
+
+    fn close(daemon: Arc<Daemon>, stop: &AtomicBool, acceptor: JoinHandle<std::io::Result<()>>) {
+        stop.store(true, Ordering::SeqCst);
+        acceptor.join().unwrap().unwrap();
+        match Arc::try_unwrap(daemon) {
+            Ok(d) => d.shutdown().unwrap(),
+            Err(_) => panic!("no outstanding daemon handles"),
+        }
+    }
+
+    /// A refusal answered by the scheduler straight from `prepare`
+    /// reports its service time like any other answer.
+    #[test]
+    fn refusals_over_the_socket_report_service_time() {
+        use std::os::unix::net::UnixStream;
+        let (daemon, dir) = test_daemon("refusal", 1);
+        let daemon = Arc::new(daemon);
+        let (stop, acceptor, sock) = listen(&daemon, &dir);
+        // A long valid prefix keeps the compile measurably above 1 µs.
+        let source = "int g(int x) { return x + 1; }\n".repeat(200) + "while (*s ++; garbage";
+        let stream = UnixStream::connect(&sock).unwrap();
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut w = &stream;
+        let req = Frame::Summary(SummaryRequest::c("bad", source));
+        writeln!(w, "{}", encode_frame(&req)).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        match decode_frame(line.trim()).unwrap() {
+            Frame::Response(r) => {
+                assert_eq!(r.outcome, LoopOutcome::NotMemoryless);
+                assert!(r.failure.unwrap().contains("does not compile"));
+                assert!(r.cost.wall_micros > 0, "refusal reports 0 µs");
+            }
+            other => panic!("expected response, got {other:?}"),
+        }
+        drop((reader, stream));
+        close(daemon, &stop, acceptor);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A line over the frame cap gets a protocol error and a closed
+    /// connection; the daemon keeps serving other connections.
+    #[test]
+    fn oversized_frames_are_refused_and_the_connection_closed() {
+        use std::os::unix::net::UnixStream;
+        let (daemon, dir) = test_daemon("oversized", 1);
+        let daemon = Arc::new(daemon);
+        let (stop, acceptor, sock) = listen(&daemon, &dir);
+        let stream = UnixStream::connect(&sock).unwrap();
+        let writer = {
+            let stream = stream.try_clone().unwrap();
+            std::thread::spawn(move || {
+                let mut w = &stream;
+                let _ = w.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]);
+            })
+        };
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        match decode_frame(line.trim()).unwrap() {
+            Frame::Error(e) => assert!(e.message.contains("exceeds"), "{}", e.message),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+        writer.join().unwrap();
+        // A new connection is served as usual.
+        let stream = UnixStream::connect(&sock).unwrap();
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut w = &stream;
+        let req = Frame::Summary(SummaryRequest::c("after", SKIP));
+        writeln!(w, "{}", encode_frame(&req)).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(matches!(
+            decode_frame(line.trim()).unwrap(),
+            Frame::Response(_)
+        ));
+        drop((reader, stream));
+        close(daemon, &stop, acceptor);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// On stdio too: a bad-UTF-8 line is answered and the session goes
+    /// on; an oversized line is answered and ends the session.
+    #[test]
+    fn serve_lines_bounds_frames_and_survives_bad_utf8() {
+        let (daemon, dir) = test_daemon("linecap", 1);
+        let frame = encode_frame(&Frame::Summary(SummaryRequest::c("y", "not c at all")));
+        let mut input = b"\xff\xfe\n".to_vec();
+        input.extend_from_slice(frame.as_bytes());
+        input.push(b'\n');
+        input.extend(std::iter::repeat_n(b'x', MAX_FRAME_BYTES + 1));
+        input.push(b'\n');
+        input.extend_from_slice(frame.as_bytes());
+        input.push(b'\n');
+        let mut output = Vec::new();
+        let saw_shutdown = daemon
+            .serve_lines(std::io::Cursor::new(input), &mut output)
+            .unwrap();
+        assert!(!saw_shutdown);
+        let lines: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert_eq!(
+            lines.len(),
+            3,
+            "utf-8 error, response, size error: {lines:?}"
+        );
+        assert!(matches!(decode_frame(lines[0]).unwrap(), Frame::Error(_)));
+        assert!(matches!(
+            decode_frame(lines[1]).unwrap(),
+            Frame::Response(_)
+        ));
+        match decode_frame(lines[2]).unwrap() {
+            Frame::Error(e) => assert!(e.message.contains("exceeds"), "{}", e.message),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        daemon.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -30,15 +30,25 @@
 //! the batch runner's opt-in write-back), so served and batch traffic
 //! order later runs alike. The book is the only source of cost
 //! estimates.
+//!
+//! **Verdict memo.** A negative answer cannot be re-verified, so it is
+//! memoized under an exact key instead of the semantic fingerprint: a
+//! hash of the compiled IR's printed form and a hash of the entire
+//! effective [`SynthesisConfig`]. [`Engine::resolve`] records every
+//! deterministic negative ([`memoizable`]) under the config the synthesis
+//! actually ran with; [`Engine::prepare`] answers a request whose exact
+//! key holds a record straight from the store (`origin: memo`), but only
+//! when the store holds no summary for its fingerprint. `flags.store =
+//! false` neither reads nor writes the memo.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use strsum_api::{Origin, PlanMode, SourceSpec, SummaryRequest, SummaryResponse};
+use strsum_api::{parse_outcome, Origin, PlanMode, SourceSpec, SummaryRequest, SummaryResponse};
 use strsum_core::{
-    loop_fingerprint, summarize_loop, verify_summary, LoopOutcome, SolverTelemetry,
+    loop_fingerprint, summarize_loop, verify_summary, BudgetKind, LoopOutcome, SolverTelemetry,
     SummarizeResult, Summary, SynthStats, SynthesisConfig,
 };
 use strsum_corpus::plan::detected_cores;
@@ -46,12 +56,14 @@ use strsum_corpus::{fingerprint_hash, CostBook, CostStat, RecordedOutcome, Recor
 use strsum_obs::names;
 use strsum_smt::SessionStats;
 
-use crate::store::ShardedStore;
+use crate::store::{fnv1a, ShardedStore, VerdictKey};
 
 /// Serving counters, reported in `BENCH_pr8.json`. The soundness gate is
 /// `reverified == store_hits + rejected`: every summary pulled from the
 /// persistent store went through the bounded checker in this process
-/// lifetime, whether it was then served or tombstoned.
+/// lifetime, whether it was then served or tombstoned. Verdict-memo hits
+/// are neither store hits nor misses: they serve no summary and run no
+/// synthesis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests served a store summary (after re-verification).
@@ -62,13 +74,22 @@ pub struct EngineStats {
     pub reverified: u64,
     /// Store hits that failed re-verification and were tombstoned.
     pub rejected: u64,
+    /// Requests answered from the verdict memo.
+    pub verdict_hits: u64,
+    /// Deterministic negatives recorded into the verdict memo.
+    pub verdicts_stored: u64,
 }
 
 impl strsum_obs::ToJson for EngineStats {
     fn to_json(&self) -> String {
         format!(
-            "{{\"store_hits\":{},\"store_misses\":{},\"reverified\":{},\"rejected\":{}}}",
-            self.store_hits, self.store_misses, self.reverified, self.rejected
+            "{{\"store_hits\":{},\"store_misses\":{},\"reverified\":{},\"rejected\":{},\"verdict_hits\":{},\"verdicts_stored\":{}}}",
+            self.store_hits,
+            self.store_misses,
+            self.reverified,
+            self.rejected,
+            self.verdict_hits,
+            self.verdicts_stored
         )
     }
 }
@@ -98,11 +119,12 @@ impl CostEstimate {
 }
 
 /// The outcome of [`Engine::prepare`]: either the request resolved at
-/// admission (refusals — nothing to schedule), or a compiled,
-/// fingerprinted task carrying everything the scheduler needs to place
-/// it and everything [`Engine::finish`] needs to run it.
+/// admission (refusals and verdict-memo hits — nothing to schedule), or
+/// a compiled, fingerprinted task carrying everything the scheduler
+/// needs to place it and everything [`Engine::finish`] needs to run it.
 pub enum Prepared {
-    /// Answered during preparation; send as-is.
+    /// Answered during preparation, `cost.wall_micros` included; send
+    /// as-is.
     Done(SummaryResponse),
     /// Ready for the back half of the lifecycle.
     Task(PreparedTask),
@@ -188,6 +210,8 @@ pub struct Engine {
     store_misses: AtomicU64,
     reverified: AtomicU64,
     rejected: AtomicU64,
+    verdict_hits: AtomicU64,
+    verdicts_stored: AtomicU64,
     costs_recorded: AtomicU64,
 }
 
@@ -211,6 +235,8 @@ impl Engine {
             store_misses: AtomicU64::new(0),
             reverified: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            verdict_hits: AtomicU64::new(0),
+            verdicts_stored: AtomicU64::new(0),
             costs_recorded: AtomicU64::new(0),
         })
     }
@@ -227,6 +253,8 @@ impl Engine {
             store_misses: self.store_misses.load(Ordering::Relaxed),
             reverified: self.reverified.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
+            verdict_hits: self.verdict_hits.load(Ordering::Relaxed),
+            verdicts_stored: self.verdicts_stored.load(Ordering::Relaxed),
         }
     }
 
@@ -320,48 +348,57 @@ impl Engine {
             Prepared::Done(resp) => resp,
             Prepared::Task(task) => self.finish(task, 1),
         };
-        resp.cost.wall_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        resp.cost.wall_micros = micros_since(start);
         resp
     }
 
     /// The front half of the lifecycle: classify the payload, compile,
-    /// fingerprint, probe the store, and estimate cost. Refusals (IR
-    /// requests, bad UTF-8, compile errors) resolve here — they are
-    /// cheap and need no scheduling.
+    /// fingerprint, probe the store and the verdict memo, and estimate
+    /// cost. Refusals (IR requests, bad UTF-8, compile errors) and memo
+    /// hits resolve here — they are cheap and need no scheduling.
     pub fn prepare(&self, req: SummaryRequest) -> Prepared {
         let start = Instant::now();
+        let done = |mut resp: SummaryResponse| {
+            resp.cost.wall_micros = micros_since(start);
+            Prepared::Done(resp)
+        };
         // 1. Classify the payload. IR is reserved vocabulary; like a
         //    compile failure, it resolves as outside the fragment.
         let source = match &req.source {
             SourceSpec::Ir(_) => {
-                return Prepared::Done(
-                    self.refuse(&req, "unsupported: ir requests are reserved vocabulary"),
-                )
+                return done(self.refuse(&req, "unsupported: ir requests are reserved vocabulary"))
             }
             SourceSpec::C(bytes) => match std::str::from_utf8(bytes) {
                 Ok(text) => text.to_string(),
-                Err(_) => return Prepared::Done(self.refuse(&req, "source is not valid UTF-8")),
+                Err(_) => return done(self.refuse(&req, "source is not valid UTF-8")),
             },
         };
         // 2. Compile. A rejected source is a NotMemoryless with the
         //    frontend's message — the runner's classification, verbatim.
         let func = match strsum_cfront::compile_one(&source) {
             Ok(func) => func,
-            Err(e) => return Prepared::Done(self.refuse(&req, &format!("does not compile: {e}"))),
+            Err(e) => return done(self.refuse(&req, &format!("does not compile: {e}"))),
         };
         let cfg = self.request_cfg(&req);
         // 3. Fingerprint and probe: the scheduler routes store-present
         //    tasks down the fast lane (finishing is one bounded
-        //    re-verification) and cost-orders the rest.
+        //    re-verification) and cost-orders the rest. A loop the store
+        //    holds no summary for may have a memoized verdict under its
+        //    exact key.
         let fp = loop_fingerprint(&func, cfg.max_ex_size);
         let key = fingerprint_hash(&fp);
         let store_present = req.flags.store && self.store.lookup(&fp).is_some();
+        if req.flags.store && !store_present {
+            if let Some(resp) = self.memo_answer(&req, &func, &cfg) {
+                return done(resp);
+            }
+        }
         let estimate = if store_present {
             CostEstimate::Unknown // irrelevant: no synthesis to size
         } else {
             self.estimate(key)
         };
-        let prep_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let prep_micros = micros_since(start);
         Prepared::Task(PreparedTask {
             req,
             func,
@@ -401,8 +438,7 @@ impl Engine {
             }
             resp.summary = Some(bytes);
         }
-        resp.cost.wall_micros = prep_micros
-            .saturating_add(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+        resp.cost.wall_micros = prep_micros.saturating_add(micros_since(start));
         resp
     }
 
@@ -506,7 +542,19 @@ impl Engine {
         );
         // 7. Publish. Verified fresh summaries — gadget programs and
         //    closed forms alike — enter the store so the next request
-        //    with this fingerprint hits.
+        //    with this fingerprint hits; a deterministic negative enters
+        //    the verdict memo under the config this synthesis ran with.
+        if req.flags.store && memoizable(&outcome) {
+            let record = encode_verdict(&outcome, stats.failure.as_deref());
+            if self
+                .store
+                .insert_verdict(verdict_key(&func, &cfg), record)
+                .is_ok()
+            {
+                self.verdicts_stored.fetch_add(1, Ordering::Relaxed);
+                strsum_obs::counter(names::STORE_VERDICT_STORED, "server", 1);
+            }
+        }
         let summary = summary.map(|summary| {
             let bytes = summary.encode();
             if req.flags.store {
@@ -534,6 +582,24 @@ impl Engine {
         self.costs_recorded.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The memoized verdict for a loop under `cfg`, as a response:
+    /// outcome and failure as recorded, no summary, no solver effort.
+    fn memo_answer(
+        &self,
+        req: &SummaryRequest,
+        func: &strsum_ir::Func,
+        cfg: &SynthesisConfig,
+    ) -> Option<SummaryResponse> {
+        let record = self.store.verdict(&verdict_key(func, cfg))?;
+        let (outcome, failure) = decode_verdict(&record)?;
+        self.verdict_hits.fetch_add(1, Ordering::Relaxed);
+        strsum_obs::counter(names::STORE_VERDICT_HIT, "server", 1);
+        let mut resp = SummaryResponse::new(req.id.clone(), outcome);
+        resp.origin = Origin::Memo;
+        resp.failure = failure;
+        Some(resp)
+    }
+
     /// A NotMemoryless refusal with a failure message — the shape every
     /// pre-synthesis rejection takes (mirrors the runner's compile-error
     /// classification).
@@ -542,6 +608,60 @@ impl Engine {
         resp.failure = Some(failure.to_string());
         resp
     }
+}
+
+/// Whether the verdict memo keeps `outcome`: the negatives a re-run under
+/// the same config reaches again — `NotMemoryless` and the exhaustion of
+/// a counted budget. Wall exhaustion depends on host load, crashes on
+/// the worker, and summaries live in the store proper.
+pub fn memoizable(outcome: &LoopOutcome) -> bool {
+    matches!(
+        outcome,
+        LoopOutcome::NotMemoryless
+            | LoopOutcome::BudgetExhausted(
+                BudgetKind::SolverConflicts | BudgetKind::SymexPaths | BudgetKind::SymexSteps
+            )
+    )
+}
+
+/// The verdict memo key of `func` under `cfg`: FNV-1a of the printed IR
+/// (exact, names included, so a fingerprint collision can never alias
+/// two loops) and of the derived `Debug` rendering of the whole config,
+/// which names every field, so a field added later joins the key
+/// without a change here.
+fn verdict_key(func: &strsum_ir::Func, cfg: &SynthesisConfig) -> VerdictKey {
+    [
+        fnv1a(strsum_ir::printer::print(func).as_bytes()),
+        fnv1a(format!("{cfg:?}").as_bytes()),
+    ]
+}
+
+/// A verdict record: the outcome label, then `\n` and the failure when
+/// there is one.
+fn encode_verdict(outcome: &LoopOutcome, failure: Option<&str>) -> Vec<u8> {
+    let mut record = outcome.label().as_bytes().to_vec();
+    if let Some(failure) = failure {
+        record.push(b'\n');
+        record.extend_from_slice(failure.as_bytes());
+    }
+    record
+}
+
+/// Reads a verdict record back; `None` for anything [`encode_verdict`]
+/// cannot have written from a [`memoizable`] outcome.
+fn decode_verdict(record: &[u8]) -> Option<(LoopOutcome, Option<String>)> {
+    let text = std::str::from_utf8(record).ok()?;
+    let (label, failure) = match text.split_once('\n') {
+        Some((label, failure)) => (label, Some(failure.to_string())),
+        None => (text, None),
+    };
+    let outcome = parse_outcome(label, None).filter(memoizable)?;
+    Some((outcome, failure))
+}
+
+/// Whole microseconds elapsed since `start`.
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// How a fresh synthesis resolved, from its structured stats.
@@ -876,5 +996,237 @@ mod tests {
             detected_cores()
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A request for `SKIP_SPACES` whose conflict cap (20) is far below
+    /// what its search needs: it exhausts deterministically in
+    /// milliseconds, and summarises at the default cap.
+    fn capped(id: &str) -> SummaryRequest {
+        let mut req = SummaryRequest::c(id, SKIP_SPACES);
+        req.budget = Some(SynthesisConfig::default().budget.with_solver_conflicts(20));
+        req
+    }
+
+    const CAPPED: LoopOutcome = LoopOutcome::BudgetExhausted(BudgetKind::SolverConflicts);
+
+    #[test]
+    fn restarted_engine_serves_a_capped_loop_from_the_memo() {
+        let dir = tmp_dir("memo");
+        let fresh = {
+            let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+            let fresh = engine.handle(&capped("m1"));
+            assert_eq!(fresh.outcome, CAPPED, "{:?}", fresh.failure);
+            assert_eq!(fresh.origin, Origin::Fresh);
+            assert!(fresh.cost.conflicts > 0);
+            assert_eq!(engine.stats().verdicts_stored, 1);
+            assert!(engine.store().is_empty(), "a verdict is no summary");
+            fresh
+        };
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let memo = engine.handle(&capped("m2"));
+        assert_eq!(memo.origin, Origin::Memo);
+        assert_eq!(memo.outcome, fresh.outcome);
+        assert_eq!(memo.failure, fresh.failure);
+        assert!(!memo.reverified);
+        assert_eq!(memo.summary, None);
+        assert_eq!(memo.cost.conflicts, 0);
+        assert_eq!(memo.telemetry, None);
+        assert!(memo.cost.wall_micros > 0, "service time is reported");
+        let stats = engine.stats();
+        assert_eq!(stats.verdict_hits, 1);
+        assert_eq!((stats.store_hits, stats.store_misses), (0, 0));
+        assert_eq!(engine.costs_recorded(), 0, "no synthesis ran");
+        // A larger conflict cap is another key: it misses and summarises.
+        let larger = engine.handle(&SummaryRequest::c("m3", SKIP_SPACES));
+        assert_eq!(larger.origin, Origin::Fresh);
+        assert_eq!(larger.outcome, LoopOutcome::Summarized);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wall_exhaustion_is_never_memoized() {
+        let dir = tmp_dir("memowall");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let mut req = SummaryRequest::c("w", SKIP_SPACES);
+        req.budget = Some(SynthesisConfig::default().budget.with_wall(Duration::ZERO));
+        for _ in 0..2 {
+            let resp = engine.handle(&req);
+            assert_eq!(resp.outcome, LoopOutcome::BudgetExhausted(BudgetKind::Wall));
+            assert_eq!(resp.origin, Origin::Fresh);
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.verdicts_stored, stats.verdict_hits), (0, 0));
+        assert_eq!(engine.store().verdict_count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_flag_off_neither_reads_nor_writes_the_memo() {
+        let dir = tmp_dir("memooff");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let mut off = capped("off");
+        off.flags.store = false;
+        assert_eq!(engine.handle(&off).outcome, CAPPED);
+        assert_eq!(engine.store().verdict_count(), 0, "no write");
+        assert_eq!(engine.handle(&capped("on")).origin, Origin::Fresh);
+        assert_eq!(engine.store().verdict_count(), 1);
+        assert_eq!(engine.handle(&capped("on")).origin, Origin::Memo);
+        let bypass = engine.handle(&off);
+        assert_eq!(bypass.origin, Origin::Fresh, "no read");
+        assert!(bypass.cost.conflicts > 0, "the budget ran again");
+        let stats = engine.stats();
+        assert_eq!((stats.verdicts_stored, stats.verdict_hits), (1, 1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A run whose config a harness doctored (an injected solver
+    /// `Unknown`) is memoized under the doctored config, so the same loop
+    /// asked for plainly still synthesises.
+    #[test]
+    fn doctored_runs_do_not_poison_plain_requests() {
+        let dir = tmp_dir("memofault");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let mut task = match engine.prepare(SummaryRequest::c("f1", SKIP_SPACES)) {
+            Prepared::Task(task) => task,
+            Prepared::Done(r) => panic!("unexpected refusal: {:?}", r.failure),
+        };
+        task.config_mut().forced_unknown_at = Some(1);
+        let faulted = engine.resolve(task, 1);
+        assert_eq!(
+            faulted.outcome, CAPPED,
+            "an injected Unknown reads as the cap"
+        );
+        assert_eq!(engine.stats().verdicts_stored, 1);
+        let plain = engine.handle(&SummaryRequest::c("f2", SKIP_SPACES));
+        assert_eq!(plain.origin, Origin::Fresh);
+        assert_eq!(plain.outcome, LoopOutcome::Summarized);
+        assert_eq!(engine.stats().verdict_hits, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The memo is probed only when the store holds no summary for the
+    /// fingerprint: a verdict planted under a summarised loop's exact key
+    /// stays unseen while the summary lives.
+    #[test]
+    fn a_live_store_summary_is_never_answered_from_the_memo() {
+        let dir = tmp_dir("memoshadow");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let req = SummaryRequest::c("s1", SKIP_SPACES);
+        let fresh = engine.handle(&req);
+        assert_eq!(fresh.outcome, LoopOutcome::Summarized);
+        let func = strsum_cfront::compile_one(SKIP_SPACES).unwrap();
+        let cfg = engine.request_cfg(&req);
+        let poison = encode_verdict(&LoopOutcome::NotMemoryless, Some("planted"));
+        engine
+            .store()
+            .insert_verdict(verdict_key(&func, &cfg), poison)
+            .unwrap();
+        let hit = engine.handle(&req);
+        assert_eq!(hit.origin, Origin::Store);
+        assert_eq!(hit.summary, fresh.summary);
+        assert_eq!(engine.stats().verdict_hits, 0);
+        // With the summary gone the planted record is what answers, so
+        // the probe above really was skipped.
+        engine
+            .store()
+            .remove(&loop_fingerprint(&func, cfg.max_ex_size))
+            .unwrap();
+        let memo = engine.handle(&req);
+        assert_eq!(memo.origin, Origin::Memo);
+        assert_eq!(memo.failure.as_deref(), Some("planted"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn verdict_records_round_trip_and_reject_other_outcomes() {
+        for (outcome, failure) in [
+            (LoopOutcome::NotMemoryless, Some("no program")),
+            (CAPPED, None),
+            (
+                LoopOutcome::BudgetExhausted(BudgetKind::SymexPaths),
+                Some(""),
+            ),
+            (
+                LoopOutcome::BudgetExhausted(BudgetKind::SymexSteps),
+                Some("two\nlines"),
+            ),
+        ] {
+            let record = encode_verdict(&outcome, failure);
+            assert_eq!(
+                decode_verdict(&record),
+                Some((outcome, failure.map(str::to_string)))
+            );
+        }
+        for outcome in [
+            LoopOutcome::Summarized,
+            LoopOutcome::CacheHit,
+            LoopOutcome::Degraded,
+            LoopOutcome::BudgetExhausted(BudgetKind::Wall),
+            LoopOutcome::Crashed("boom".into()),
+        ] {
+            assert!(!memoizable(&outcome), "{outcome:?}");
+            assert_eq!(decode_verdict(&encode_verdict(&outcome, None)), None);
+        }
+        assert_eq!(decode_verdict(b"\xff"), None);
+    }
+
+    /// Every field of the effective config is part of the memo key.
+    #[test]
+    fn verdict_keys_separate_configs_and_loops() {
+        let func = strsum_cfront::compile_one(SKIP_SPACES).unwrap();
+        let base = SynthesisConfig::default();
+        let key = verdict_key(&func, &base);
+        assert_eq!(key, verdict_key(&func, &base.clone()), "stable");
+        let variants = [
+            SynthesisConfig {
+                intra_loop: 2,
+                ..base.clone()
+            },
+            SynthesisConfig {
+                screen: !base.screen,
+                ..base.clone()
+            },
+            SynthesisConfig {
+                theory_fast_path: !base.theory_fast_path,
+                ..base.clone()
+            },
+            SynthesisConfig {
+                max_ex_size: base.max_ex_size + 1,
+                ..base.clone()
+            },
+            SynthesisConfig {
+                forced_unknown_at: Some(3),
+                ..base.clone()
+            },
+            SynthesisConfig {
+                budget: base.budget.with_wall(Duration::from_secs(1)),
+                ..base.clone()
+            },
+        ];
+        for cfg in &variants {
+            assert_eq!(verdict_key(&func, cfg)[0], key[0], "same IR");
+            assert_ne!(verdict_key(&func, cfg)[1], key[1], "{cfg:?}");
+        }
+        let renamed =
+            strsum_cfront::compile_one(&SKIP_SPACES.replace("loopFunction", "f")).unwrap();
+        assert_ne!(verdict_key(&renamed, &base)[0], key[0], "names are IR");
+    }
+
+    /// The memo key must be the same every time a source is compiled,
+    /// or a restarted daemon misses its own verdicts: cfront's output,
+    /// φ placement included, is a function of the source alone.
+    #[test]
+    fn verdict_keys_are_stable_across_compiles() {
+        let cfg = SynthesisConfig::default();
+        let sources = strsum_corpus::corpus()
+            .into_iter()
+            .chain(strsum_corpus::stateful_corpus());
+        for e in sources {
+            let key = || verdict_key(&strsum_cfront::compile_one(&e.source).unwrap(), &cfg);
+            let first = key();
+            for round in 1..8 {
+                assert_eq!(key(), first, "{} on compile {round}", e.id);
+            }
+        }
     }
 }

@@ -5,11 +5,14 @@
 //!
 //! - [`store`] — a fingerprint-sharded, crash-safe on-disk summary
 //!   index (checksummed append logs, tombstones, compaction, cold
-//!   eviction informed by a `CostBook`).
+//!   eviction informed by a `CostBook`), plus the verdict records of
+//!   the engine's memo.
 //! - [`engine`] — the request lifecycle: parse → fingerprint → store
-//!   lookup with **mandatory re-verification** of every hit → fresh
-//!   synthesis on miss → classify exactly like the batch runner, so the
-//!   daemon's answers are byte-identical to `CorpusRunner`'s. Split at
+//!   lookup with **mandatory re-verification** of every hit → (on a
+//!   miss) an exact-keyed verdict-memo answer for a loop that failed
+//!   deterministically before, or fresh synthesis → classify exactly
+//!   like the batch runner, so the daemon's answers are byte-identical
+//!   to `CorpusRunner`'s. Split at
 //!   the pipeline boundary into [`Engine::prepare`] / [`Engine::finish`]
 //!   for the scheduler, with every fresh synthesis recorded into the
 //!   store's `CostBook`.
@@ -27,6 +30,8 @@ pub mod sched;
 pub mod store;
 
 pub use daemon::{serve_unix_socket, Daemon, DEFAULT_IDLE_TIMEOUT};
-pub use engine::{CostEstimate, Engine, EngineStats, Prepared, PreparedTask, Resolution};
+pub use engine::{
+    memoizable, CostEstimate, Engine, EngineStats, Prepared, PreparedTask, Resolution,
+};
 pub use sched::{Policy, SchedOptions, SchedStats, Scheduler, DEFAULT_QUEUE_DEPTH};
-pub use store::{ShardedStore, DEFAULT_SHARDS};
+pub use store::{ShardedStore, VerdictKey, DEFAULT_SHARDS};

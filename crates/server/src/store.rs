@@ -9,13 +9,13 @@
 //! `Mutex`, so two workers storing into different shards never contend.
 //!
 //! **Durability model.** Each mutation appends one checksummed text line
-//! to the shard's log (`+` insert, `-` tombstone) *before* the in-memory
-//! map changes, so a crash loses at most the line being written. On open,
-//! logs are replayed; a corrupted or truncated line — the torn tail a
-//! crash leaves — is dropped with a counted warning, mirroring the
-//! `CostBook` malformed-line counter, and every *complete* line before
-//! and after it still loads. Compaction rewrites a shard as a fresh log
-//! of live entries via temp-file + atomic rename.
+//! to the shard's log (`+` insert, `-` tombstone, `!` verdict) *before*
+//! the in-memory map changes, so a crash loses at most the line being
+//! written. On open, logs are replayed; a corrupted or truncated line —
+//! the torn tail a crash leaves — is dropped with a counted warning,
+//! mirroring the `CostBook` malformed-line counter, and every *complete*
+//! line before and after it still loads. Compaction rewrites a shard as
+//! a fresh log of live entries via temp-file + atomic rename.
 //!
 //! **Soundness.** The store inherits the summary-cache contract: a
 //! looked-up program is *unverified* with respect to the caller's loop.
@@ -23,6 +23,13 @@
 //! serving it, and report failures via [`ShardedStore::remove`] so the
 //! poisoned entry is tombstoned. The store itself never vouches for its
 //! contents.
+//!
+//! **Verdicts.** Next to the summaries each shard keeps a second map of
+//! opaque verdict records (the engine's memo of deterministic negative
+//! outcomes), keyed by a [`VerdictKey`] rather than a fingerprint. They
+//! share the shard's log, checksums, torn-tail dropping, replay and
+//! compaction, but live in their own namespace: [`ShardedStore::lookup`],
+//! [`ShardedStore::len`] and [`ShardedStore::evict_cold`] never see them.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -40,9 +47,14 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// automatic compaction — bounds log growth under churn.
 const COMPACT_EVERY: usize = 4096;
 
-/// One shard: its live map, and its log writer.
+/// The key of a verdict record: two 64-bit hashes chosen by the caller
+/// (the engine uses an exact IR hash and a configuration hash).
+pub type VerdictKey = [u64; 2];
+
+/// One shard: its live summaries and verdicts, and its log writer.
 struct Shard {
     map: RwLock<HashMap<Vec<u64>, Vec<u8>>>,
+    verdicts: RwLock<HashMap<VerdictKey, Vec<u8>>>,
     writer: Mutex<ShardWriter>,
 }
 
@@ -62,11 +74,11 @@ pub struct ShardedStore {
     dropped: AtomicUsize,
 }
 
-/// FNV-1a over a log line's payload — the per-line checksum that makes
-/// torn tails detectable.
-fn line_checksum(payload: &str) -> u64 {
+/// 64-bit FNV-1a: the per-line checksum that makes torn tails
+/// detectable, and the engine's verdict-key hash.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in payload.bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -110,15 +122,16 @@ fn fp_from_text(s: &str) -> Option<Vec<u64>> {
 /// checksum`, checksum over everything before it.
 fn render_line(op: char, fp: &[u64], prog: &[u8]) -> String {
     let payload = format!("{op}\t{}\t{}", fp_to_text(fp), hex_bytes(prog));
-    let sum = line_checksum(&payload);
+    let sum = fnv1a(payload.as_bytes());
     format!("{payload}\t{sum:016x}")
 }
 
-/// Parses one log line back into `(op, fp, prog)`; `None` when the line
-/// is corrupt or truncated.
+/// Parses one log line back into `(op, key, bytes)`; `None` when the
+/// line is corrupt or truncated, or a verdict line's key is not two
+/// words.
 fn parse_line(line: &str) -> Option<(char, Vec<u64>, Vec<u8>)> {
     let (payload, sum) = line.rsplit_once('\t')?;
-    if u64::from_str_radix(sum, 16) != Ok(line_checksum(payload)) {
+    if u64::from_str_radix(sum, 16) != Ok(fnv1a(payload.as_bytes())) {
         return None;
     }
     let mut parts = payload.split('\t');
@@ -131,6 +144,7 @@ fn parse_line(line: &str) -> Option<(char, Vec<u64>, Vec<u8>)> {
     match op {
         "+" => Some(('+', fp, prog)),
         "-" => Some(('-', fp, prog)),
+        "!" if fp.len() == 2 => Some(('!', fp, prog)),
         _ => None,
     }
 }
@@ -148,25 +162,32 @@ impl ShardedStore {
         for s in 0..shards {
             let path = shard_path(dir, s);
             let mut map = HashMap::new();
+            let mut verdicts = HashMap::new();
             let mut replayed = 0usize;
             if let Ok(text) = fs::read_to_string(&path) {
                 for line in text.lines() {
                     match parse_line(line) {
                         Some(('+', fp, prog)) => {
                             map.insert(fp, prog);
-                            replayed += 1;
+                        }
+                        Some(('!', key, record)) => {
+                            verdicts.insert([key[0], key[1]], record);
                         }
                         Some((_, fp, _)) => {
                             map.remove(&fp);
-                            replayed += 1;
                         }
-                        None => dropped += 1,
+                        None => {
+                            dropped += 1;
+                            continue;
+                        }
                     }
+                    replayed += 1;
                 }
             }
             let file = OpenOptions::new().create(true).append(true).open(&path)?;
             built.push(Shard {
                 map: RwLock::new(map),
+                verdicts: RwLock::new(verdicts),
                 writer: Mutex::new(ShardWriter {
                     file,
                     appended: replayed,
@@ -209,65 +230,92 @@ impl ShardedStore {
     /// to the shard map. Readers see either the old or the new complete
     /// record, never a partial one.
     pub fn insert(&self, fp: Vec<u64>, prog: Vec<u8>) -> std::io::Result<()> {
-        let s = self.shard_of(&fp);
-        let shard = &self.shards[s];
-        {
-            let mut w = shard.writer.lock().expect("store writer lock poisoned");
-            writeln!(w.file, "{}", render_line('+', &fp, &prog))?;
-            w.appended += 1;
-            if w.appended >= COMPACT_EVERY {
-                // Compact under the held writer lock (no new appends can
-                // interleave); the map read below sees all published
-                // entries plus this one once we publish it first.
-                drop(w);
-                shard
-                    .map
-                    .write()
-                    .expect("store shard lock poisoned")
-                    .insert(fp, prog);
-                return self.compact_shard(s);
-            }
-        }
-        shard
-            .map
-            .write()
-            .expect("store shard lock poisoned")
-            .insert(fp, prog);
-        Ok(())
+        let line = render_line('+', &fp, &prog);
+        self.append(self.shard_of(&fp), &line, |shard| {
+            shard
+                .map
+                .write()
+                .expect("store shard lock poisoned")
+                .insert(fp, prog);
+        })
     }
 
     /// Tombstones `fp` (a summary that failed re-verification, or an
     /// eviction victim): appends a `-` line, then unpublishes.
     pub fn remove(&self, fp: &[u64]) -> std::io::Result<()> {
-        let shard = &self.shards[self.shard_of(fp)];
-        {
-            let mut w = shard.writer.lock().expect("store writer lock poisoned");
-            writeln!(w.file, "{}", render_line('-', fp, &[]))?;
-            w.appended += 1;
-        }
-        shard
-            .map
-            .write()
+        let line = render_line('-', fp, &[]);
+        self.append(self.shard_of(fp), &line, |shard| {
+            shard
+                .map
+                .write()
+                .expect("store shard lock poisoned")
+                .remove(fp);
+        })
+    }
+
+    /// The verdict record stored under `key`, if any.
+    pub fn verdict(&self, key: &VerdictKey) -> Option<Vec<u8>> {
+        self.shards[self.shard_of(key)]
+            .verdicts
+            .read()
             .expect("store shard lock poisoned")
-            .remove(fp);
-        Ok(())
+            .get(key)
+            .cloned()
     }
 
-    /// Rewrites every shard log to hold exactly its live entries
-    /// (dropping tombstones and superseded inserts), via temp file +
-    /// atomic rename.
-    pub fn compact(&self) -> std::io::Result<()> {
-        for s in 0..self.shards.len() {
-            self.compact_shard(s)?;
+    /// Stores a verdict `record` under `key` (an `!` line), replacing any
+    /// earlier record for the key. Verdicts are never tombstoned.
+    pub fn insert_verdict(&self, key: VerdictKey, record: Vec<u8>) -> std::io::Result<()> {
+        let line = render_line('!', &key, &record);
+        self.append(self.shard_of(&key), &line, |shard| {
+            shard
+                .verdicts
+                .write()
+                .expect("store shard lock poisoned")
+                .insert(key, record);
+        })
+    }
+
+    /// Total verdict records across all shards.
+    pub fn verdict_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.verdicts.read().expect("store shard lock poisoned").len())
+            .sum()
+    }
+
+    /// Appends `line` to shard `s`'s log, then runs `publish` on the
+    /// shard, both under the shard's writer lock; compacts the shard once
+    /// its log has taken [`COMPACT_EVERY`] ops.
+    fn append(&self, s: usize, line: &str, publish: impl FnOnce(&Shard)) -> std::io::Result<()> {
+        let shard = &self.shards[s];
+        let mut w = shard.writer.lock().expect("store writer lock poisoned");
+        writeln!(w.file, "{line}")?;
+        w.appended += 1;
+        publish(shard);
+        if w.appended >= COMPACT_EVERY {
+            self.rewrite_shard(s, &mut w)?;
         }
         Ok(())
     }
 
-    fn compact_shard(&self, s: usize) -> std::io::Result<()> {
+    /// Rewrites every shard log to hold exactly its live entries and
+    /// verdicts (dropping tombstones and superseded records), via temp
+    /// file + atomic rename.
+    pub fn compact(&self) -> std::io::Result<()> {
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut w = shard.writer.lock().expect("store writer lock poisoned");
+            self.rewrite_shard(s, &mut w)?;
+        }
+        Ok(())
+    }
+
+    /// Rewrites shard `s`'s log from its maps. The caller holds the
+    /// shard's writer lock, so no append can interleave.
+    fn rewrite_shard(&self, s: usize, w: &mut ShardWriter) -> std::io::Result<()> {
         let shard = &self.shards[s];
         let path = shard_path(&self.dir, s);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let mut w = shard.writer.lock().expect("store writer lock poisoned");
         let mut text = String::new();
         {
             let map = shard.map.read().expect("store shard lock poisoned");
@@ -275,6 +323,15 @@ impl ShardedStore {
             keys.sort();
             for fp in keys {
                 text.push_str(&render_line('+', fp, &map[fp]));
+                text.push('\n');
+            }
+        }
+        {
+            let verdicts = shard.verdicts.read().expect("store shard lock poisoned");
+            let mut keys: Vec<&VerdictKey> = verdicts.keys().collect();
+            keys.sort();
+            for key in keys {
+                text.push_str(&render_line('!', key, &verdicts[key]));
                 text.push('\n');
             }
         }
@@ -316,7 +373,8 @@ impl ShardedStore {
         Ok(evicted)
     }
 
-    /// Total live entries across all shards.
+    /// Total live summary entries across all shards (verdicts are not
+    /// entries; see [`ShardedStore::verdict_count`]).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -441,6 +499,66 @@ mod tests {
             );
         }
         assert_eq!(store.evict_cold(&book, 4).unwrap(), 0, "already at cap");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn verdict_lines_round_trip_and_reject_corruption() {
+        let line = render_line('!', &[u64::MAX, 7], b"not_memoryless\nwhy");
+        assert_eq!(
+            parse_line(&line),
+            Some(('!', vec![u64::MAX, 7], b"not_memoryless\nwhy".to_vec()))
+        );
+        for cut in 0..line.len() {
+            assert_eq!(parse_line(&line[..cut]), None, "cut at {cut}");
+        }
+        // A verdict key is exactly two words, even under a valid checksum.
+        for key in [&[1u64][..], &[1, 2, 3][..]] {
+            assert_eq!(parse_line(&render_line('!', key, b"x")), None, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn verdicts_replay_survive_compaction_and_stay_out_of_the_summary_namespace() {
+        let dir = tmp_dir("verdicts");
+        let key: VerdictKey = [3, 4];
+        {
+            let store = ShardedStore::open(&dir, 2).unwrap();
+            store.insert(vec![3, 4], b"PROG".to_vec()).unwrap();
+            store.insert_verdict(key, b"old".to_vec()).unwrap();
+            store.insert_verdict(key, b"new".to_vec()).unwrap();
+            store.insert_verdict([5, 6], b"other".to_vec()).unwrap();
+            assert_eq!(store.verdict(&key), Some(b"new".to_vec()));
+            assert_eq!(store.verdict(&[6, 5]), None);
+        }
+        let store = ShardedStore::open(&dir, 2).unwrap();
+        assert_eq!(store.dropped(), 0);
+        assert_eq!(store.verdict(&key), Some(b"new".to_vec()), "replayed");
+        assert_eq!(store.verdict_count(), 2);
+        // Same words, other namespace: a summary lookup sees the summary,
+        // never a verdict, and a verdict-only key is no summary at all.
+        assert_eq!(store.lookup(&key), Some(b"PROG".to_vec()));
+        assert_eq!(store.lookup(&[5, 6]), None);
+        assert_eq!(store.len(), 1, "verdicts are not entries");
+        // Removing the summary leaves the verdict under the same words.
+        store.remove(&key).unwrap();
+        assert_eq!(store.verdict(&key), Some(b"new".to_vec()));
+        // Eviction to zero entries touches no verdict.
+        let evicted = store.evict_cold(&CostBook::new(), 0).unwrap();
+        assert_eq!(evicted, 0, "no summaries left to evict");
+        store.insert(vec![9], b"P".to_vec()).unwrap();
+        assert_eq!(store.evict_cold(&CostBook::new(), 0).unwrap(), 1);
+        assert_eq!(store.verdict_count(), 2);
+        // Compaction keeps the live verdicts (and only the newest record).
+        store.compact().unwrap();
+        let text: String = (0..2)
+            .map(|s| fs::read_to_string(shard_path(&dir, s)).unwrap())
+            .collect();
+        assert_eq!(text.lines().count(), 2, "two verdict lines: {text}");
+        let store = ShardedStore::open(&dir, 2).unwrap();
+        assert!(store.is_empty());
+        assert_eq!(store.verdict(&key), Some(b"new".to_vec()));
+        assert_eq!(store.verdict(&[5, 6]), Some(b"other".to_vec()));
         fs::remove_dir_all(&dir).unwrap();
     }
 
