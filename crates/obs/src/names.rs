@@ -69,6 +69,9 @@ pub const SCHED_IDLE_CLOSED: &str = "sched.idle_closed";
 /// One connection was closed for sending a frame over the daemon's
 /// frame-size cap.
 pub const SCHED_FRAME_OVERSIZED: &str = "sched.frame_oversized";
+/// One connection was refused because the daemon was already serving
+/// its connection cap.
+pub const SCHED_CONN_REFUSED: &str = "sched.conn_refused";
 
 /// Feasibility queries the constructive string theory answered Sat.
 pub const SYMEX_THEORY_SAT: &str = "symex.feasible.theory_sat";

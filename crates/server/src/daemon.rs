@@ -36,6 +36,13 @@ use crate::sched::{SchedOptions, SchedStats, Scheduler};
 /// requests still answer into the void; the daemon keeps serving).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
+/// The most connections [`serve_unix_socket`] serves at once, far above
+/// the two to four clients the benchmarks and audits run. Not a knob: it
+/// bounds the daemon's threads whatever clients do. A connection over the
+/// cap gets an `error` frame and is closed, counted on
+/// [`names::SCHED_CONN_REFUSED`].
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// How often a connection thread wakes to check idleness and the stop
 /// flag while blocked on a quiet socket.
 const READ_TICK: Duration = Duration::from_millis(100);
@@ -231,10 +238,12 @@ fn protocol_error(id: Option<String>, message: &str) -> Frame {
 
 /// Serves a Unix socket at `path` until `stop` goes true (e.g. by a
 /// connection seeing a `shutdown` frame), spawning one serving thread
-/// per connection. A connection that stays silent for `idle` is closed
-/// — a stalled client cannot pin a thread (or hold the daemon's drain
-/// hostage) forever. Joins all connection threads before returning, so
-/// a caller that then calls [`Daemon::shutdown`] gets the full drain.
+/// per connection, at most [`MAX_CONNECTIONS`] at a time; finished
+/// connection threads are reaped on every accept iteration. A connection
+/// that stays silent for `idle` is closed — a stalled client cannot pin a
+/// thread (or hold the daemon's drain hostage) forever. Joins all
+/// connection threads before returning, so a caller that then calls
+/// [`Daemon::shutdown`] gets the full drain.
 pub fn serve_unix_socket(
     daemon: &Arc<Daemon>,
     path: &std::path::Path,
@@ -246,7 +255,11 @@ pub fn serve_unix_socket(
     listener.set_nonblocking(true)?;
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
+        for done in conns.extract_if(.., |c| c.is_finished()) {
+            let _ = done.join();
+        }
         match listener.accept() {
+            Ok((stream, _)) if conns.len() >= MAX_CONNECTIONS => refuse_connection(stream),
             Ok((stream, _)) => {
                 let daemon = Arc::clone(daemon);
                 let stop = Arc::clone(stop);
@@ -267,6 +280,33 @@ pub fn serve_unix_socket(
     }
     let _ = std::fs::remove_file(path);
     Ok(())
+}
+
+/// Answers a connection over [`MAX_CONNECTIONS`] with an `error` frame
+/// and closes it. Input the client already sent is drained for at most
+/// [`READ_TICK`] first: closing a Unix socket with unread input resets
+/// the peer, which could then lose the frame.
+fn refuse_connection(stream: std::os::unix::net::UnixStream) {
+    strsum_obs::counter(names::SCHED_CONN_REFUSED, "server", 1);
+    let refusal = protocol_error(
+        None,
+        &format!("daemon is serving {MAX_CONNECTIONS} connections; closing this one"),
+    );
+    let mut io = &stream;
+    let _ = writeln!(io, "{}", encode_frame(&refusal));
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = std::time::Instant::now() + READ_TICK;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match std::io::Read::read(&mut io, &mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Serves one socket connection with an idle timeout: reads tick every
@@ -729,6 +769,60 @@ mod tests {
             Frame::Response(_)
         ));
         drop((reader, stream));
+        close(daemon, &stop, acceptor);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Connections past [`MAX_CONNECTIONS`] are refused with an error
+    /// frame and closed; once a live connection ends, its thread is
+    /// reaped and a new connection is served again.
+    #[test]
+    fn connections_over_the_cap_are_refused_and_slots_are_reaped() {
+        use std::os::unix::net::UnixStream;
+        let (daemon, dir) = test_daemon("conncap", 1);
+        let daemon = Arc::new(daemon);
+        let (stop, acceptor, sock) = listen(&daemon, &dir);
+        let ask = |stream: &UnixStream, id: &str| -> Frame {
+            let mut w = stream;
+            let req = Frame::Summary(SummaryRequest::c(id, SKIP));
+            // A refused connection may already be closed for writing.
+            let _ = writeln!(w, "{}", encode_frame(&req));
+            let mut line = String::new();
+            std::io::BufReader::new(stream)
+                .read_line(&mut line)
+                .unwrap();
+            decode_frame(line.trim()).unwrap()
+        };
+        // Every held connection is answered, so each has been accepted
+        // (and holds a slot) before the next one connects.
+        let mut held: Vec<UnixStream> = Vec::new();
+        for i in 0..MAX_CONNECTIONS {
+            let stream = UnixStream::connect(&sock).unwrap();
+            assert!(matches!(ask(&stream, &format!("c{i}")), Frame::Response(_)));
+            held.push(stream);
+        }
+        let over = UnixStream::connect(&sock).unwrap();
+        match ask(&over, "over") {
+            Frame::Error(e) => assert!(e.message.contains("connections"), "{}", e.message),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        let mut line = String::new();
+        let closed = std::io::BufReader::new(&over).read_line(&mut line).unwrap();
+        assert_eq!(closed, 0, "refused and closed");
+        // Free one slot: once its thread has exited and been reaped, a
+        // new connection is served.
+        held.pop();
+        let mut served = false;
+        for attempt in 0..200 {
+            let stream = UnixStream::connect(&sock).unwrap();
+            if let Frame::Response(_) = ask(&stream, &format!("again{attempt}")) {
+                served = true;
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+        assert!(served, "a freed slot is reused");
+        drop(held);
         close(daemon, &stop, acceptor);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -11,6 +11,54 @@
 //! Clause-database reduction is deliberately omitted: the CEGIS sessions
 //! that drive the solver issue many small, closely-related queries, and
 //! every learned clause stays relevant to the next one.
+//!
+//! # Data layout
+//!
+//! The memory layout follows MiniSat (Eén & Sörensson, *An Extensible
+//! SAT-solver*, SAT 2003); its search heuristics beyond the ones listed
+//! above do not.
+//!
+//! - **Clause arena.** Every clause, original or learnt, lives in one flat
+//!   `Vec<u32>` as `[len, lit0, lit1, …]`. A `ClauseRef` is the offset of
+//!   the length word, so a clause is one contiguous run of words and
+//!   cloning the solver copies the whole database in one `memcpy`. The
+//!   first two literals are the watched ones.
+//! - **Literal values.** `vals` holds one `Assign` per literal code,
+//!   written for both polarities in `enqueue` and cleared in
+//!   `backtrack_to`; the hot paths read a literal's value with one load.
+//! - **Watchers.** A watch-list entry is a `Watcher { cref, other }`.
+//!   For a binary clause `other` is the clause's other literal, so
+//!   propagation passes over a binary clause that `other` satisfies
+//!   without reading the arena; for a longer clause it is a sentinel.
+//! - **Conflict analysis** walks arena slices by index and builds the
+//!   learnt clause in a buffer the solver keeps, so it allocates nothing.
+//!
+//! # Trajectory contract
+//!
+//! Synthesis verdicts near a conflict cap depend on the exact search
+//! trajectory: the same decisions, the same propagation order, the same
+//! learnt clauses with the same literal order, and therefore the same
+//! `conflicts`/`propagations`/`learnts`/clause/variable counters. A layout
+//! change must keep all of them. In particular:
+//!
+//! - a watch list is scanned in order and a moved watch leaves it by
+//!   `swap_remove`, appending to the new literal's list;
+//! - a clause is normalised (falsified watch in slot 1) in the arena
+//!   *before* it propagates or conflicts, because `analyze` reads that
+//!   order; a long clause is normalised before its first literal is
+//!   tested. Skipping the swap when a binary clause is satisfied is
+//!   unobservable: the next visit that matters normalises it again;
+//! - VSIDS bumps happen in clause-literal order, and the restart, phase
+//!   and assumption logic are as above.
+//!
+//! Behaviour changes — each moves conflict counts — include blocker
+//! literals (a stale true blocker skips a clause whose watch this solver
+//! would move), learnt-clause minimisation, clause deletion and any
+//! heuristic change. Two goldens catch them: `crates/smt/tests/trajectory.rs`
+//! pins the counters and models of seeded random CNFs and incremental
+//! sequences, and the workspace test `tests/trajectory_corpus.rs` pins the
+//! outcome, summary bytes and search/verify solver statistics of a corpus
+//! slice under a conflict cap.
 
 use std::fmt;
 use std::time::Instant;
@@ -75,28 +123,27 @@ pub enum SatResult {
     Unknown,
 }
 
+/// Value of a literal (or a variable's positive literal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum Assign {
-    Unassigned,
-    True,
     False,
+    True,
+    Unassigned,
 }
 
-impl Assign {
-    fn from_bool(b: bool) -> Assign {
-        if b {
-            Assign::True
-        } else {
-            Assign::False
-        }
-    }
-}
-
+/// Offset of a clause's length word in the arena.
 type ClauseRef = u32;
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
+/// `Watcher::other` of a clause longer than two literals.
+const NO_OTHER: Lit = Lit(u32::MAX);
+
+/// A watch-list entry: the clause, and for a binary clause the literal
+/// that is not the watched one (`NO_OTHER` otherwise).
+#[derive(Debug, Clone, Copy)]
+struct Watcher {
+    cref: ClauseRef,
+    other: Lit,
 }
 
 /// Max-heap over variables ordered by VSIDS activity, with position index
@@ -191,9 +238,10 @@ impl VarHeap {
 /// each worker its own solver seeded with the shared constraints.
 #[derive(Debug, Default, Clone)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    watches: Vec<Vec<ClauseRef>>, // indexed by Lit::code of the *watched* literal
-    assigns: Vec<Assign>,
+    arena: Vec<u32>, // clauses as [len, lit0, lit1, …]; see the module docs
+    num_clauses: usize,
+    watches: Vec<Vec<Watcher>>, // indexed by Lit::code of the *watched* literal
+    vals: Vec<Assign>,          // indexed by Lit::code
     phase: Vec<bool>,
     level: Vec<u32>,
     reason: Vec<Option<ClauseRef>>,
@@ -204,6 +252,7 @@ pub struct Solver {
     var_inc: f64,
     heap: VarHeap,
     seen: Vec<bool>,
+    learnt: Vec<Lit>, // `analyze`'s output buffer, reused across conflicts
     ok: bool,
     conflicts: u64,
     conflict_limit: u64,
@@ -283,7 +332,7 @@ impl Solver {
 
     /// Number of variables allocated so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Total conflicts encountered across all `solve` calls.
@@ -293,7 +342,7 @@ impl Solver {
 
     /// Number of clauses (original + learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Total literals propagated across all queries.
@@ -313,8 +362,9 @@ impl Solver {
 
     /// Allocates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
-        let v = self.assigns.len() as Var;
-        self.assigns.push(Assign::Unassigned);
+        let v = self.level.len() as Var;
+        self.vals.push(Assign::Unassigned);
+        self.vals.push(Assign::Unassigned);
         self.phase.push(false);
         self.level.push(0);
         self.reason.push(None);
@@ -322,22 +372,18 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.grow_to(self.assigns.len());
+        self.heap.grow_to(self.level.len());
         self.heap.push(v, &self.activity);
         v
     }
 
     fn value(&self, l: Lit) -> Assign {
-        match self.assigns[l.var() as usize] {
-            Assign::Unassigned => Assign::Unassigned,
-            Assign::True => Assign::from_bool(l.is_positive()),
-            Assign::False => Assign::from_bool(!l.is_positive()),
-        }
+        self.vals[l.code()]
     }
 
     /// Value of a variable in the current (final, after `Sat`) assignment.
     pub fn model_value(&self, v: Var) -> bool {
-        self.assigns[v as usize] == Assign::True
+        self.value(Lit::new(v, true)) == Assign::True
     }
 
     /// Adds a clause. Returns `false` if the solver became trivially unsat.
@@ -381,24 +427,39 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach(out);
+                self.attach(&out);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>) -> ClauseRef {
-        let cref = self.clauses.len() as ClauseRef;
-        self.watches[lits[0].code()].push(cref);
-        self.watches[lits[1].code()].push(cref);
-        self.clauses.push(Clause { lits });
+    /// Appends a clause of at least two literals to the arena and watches
+    /// its first two.
+    fn attach(&mut self, lits: &[Lit]) -> ClauseRef {
+        let cref = self.arena.len() as ClauseRef;
+        self.arena.push(lits.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.num_clauses += 1;
+        let (other0, other1) = match lits {
+            [a, b] => (*b, *a),
+            _ => (NO_OTHER, NO_OTHER),
+        };
+        self.watches[lits[0].code()].push(Watcher {
+            cref,
+            other: other0,
+        });
+        self.watches[lits[1].code()].push(Watcher {
+            cref,
+            other: other1,
+        });
         cref
     }
 
     fn enqueue(&mut self, l: Lit, from: Option<ClauseRef>) {
         debug_assert_eq!(self.value(l), Assign::Unassigned);
         let v = l.var() as usize;
-        self.assigns[v] = Assign::from_bool(l.is_positive());
+        self.vals[l.code()] = Assign::True;
+        self.vals[(!l).code()] = Assign::False;
         self.phase[v] = l.is_positive();
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = from;
@@ -414,33 +475,41 @@ impl Solver {
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut i = 0;
             'clauses: while i < ws.len() {
-                let cref = ws[i];
-                {
-                    // Normalise so lits[1] is the falsified watched literal.
-                    let lits = &mut self.clauses[cref as usize].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
+                let Watcher { cref, other } = ws[i];
+                // A binary clause is satisfied by its other literal alone;
+                // skipping its normalisation then is unobservable.
+                if other != NO_OTHER && self.value(other) == Assign::True {
+                    i += 1;
+                    continue;
                 }
-                let first = self.clauses[cref as usize].lits[0];
-                if self.value(first) == Assign::True {
+                let c = cref as usize;
+                // Normalise so slot 1 is the falsified watch.
+                if self.arena[c + 1] == false_lit.0 {
+                    self.arena.swap(c + 1, c + 2);
+                }
+                debug_assert_eq!(self.arena[c + 2], false_lit.0);
+                let first = Lit(self.arena[c + 1]);
+                let first_value = self.value(first);
+                if first_value == Assign::True {
                     i += 1;
                     continue;
                 }
                 // Search for a new literal to watch.
-                let len = self.clauses[cref as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref as usize].lits[k];
+                let end = c + 1 + self.arena[c] as usize;
+                for k in c + 3..end {
+                    let lk = Lit(self.arena[k]);
                     if self.value(lk) != Assign::False {
-                        self.clauses[cref as usize].lits.swap(1, k);
-                        self.watches[lk.code()].push(cref);
+                        self.arena.swap(c + 2, k);
+                        self.watches[lk.code()].push(Watcher {
+                            cref,
+                            other: NO_OTHER,
+                        });
                         ws.swap_remove(i);
                         continue 'clauses;
                     }
                 }
                 // Clause is unit or conflicting.
-                if self.value(first) == Assign::False {
+                if first_value == Assign::False {
                     self.watches[false_lit.code()] = ws;
                     self.qhead = self.trail.len();
                     return Some(cref);
@@ -464,18 +533,22 @@ impl Solver {
         self.heap.update(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis; returns (learnt clause, backtrack level).
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::new(0, true)]; // placeholder for UIP
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first) and returns the backtrack
+    /// level.
+    fn analyze(&mut self, mut confl: ClauseRef) -> u32 {
+        self.learnt.clear();
+        self.learnt.push(Lit::new(0, true)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let cur_level = self.trail_lim.len() as u32;
 
         loop {
-            let lits: Vec<Lit> = self.clauses[confl as usize].lits.clone();
-            let start = usize::from(p.is_some());
-            for &q in &lits[start..] {
+            let c = confl as usize;
+            let start = c + 1 + usize::from(p.is_some());
+            for k in start..c + 1 + self.arena[c] as usize {
+                let q = Lit(self.arena[k]);
                 let v = q.var() as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -483,7 +556,7 @@ impl Solver {
                     if self.level[v] >= cur_level {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -503,9 +576,10 @@ impl Solver {
             }
             confl = self.reason[lit.var() as usize].expect("non-UIP literal must have a reason");
         }
-        learnt[0] = !p.unwrap();
+        self.learnt[0] = !p.unwrap();
 
         // Compute backtrack level: second-highest level in the clause.
+        let learnt = &mut self.learnt;
         let bt = if learnt.len() == 1 {
             0
         } else {
@@ -518,10 +592,10 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var() as usize]
         };
-        for &l in &learnt {
+        for &l in learnt.iter() {
             self.seen[l.var() as usize] = false;
         }
-        (learnt, bt)
+        bt
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -532,7 +606,8 @@ impl Solver {
         while self.trail.len() > bound {
             let l = self.trail.pop().unwrap();
             let v = l.var() as usize;
-            self.assigns[v] = Assign::Unassigned;
+            self.vals[l.code()] = Assign::Unassigned;
+            self.vals[(!l).code()] = Assign::Unassigned;
             self.reason[v] = None;
             self.heap.push(l.var(), &self.activity);
         }
@@ -542,7 +617,7 @@ impl Solver {
 
     fn decide(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assigns[v as usize] == Assign::Unassigned {
+            if self.value(Lit::new(v, true)) == Assign::Unassigned {
                 return Some(Lit::new(v, self.phase[v as usize]));
             }
         }
@@ -594,12 +669,12 @@ impl Solver {
                         return self.give_up(why);
                     }
                 }
-                let (learnt, bt_level) = self.analyze(confl);
+                let bt_level = self.analyze(confl);
                 self.learnts += 1;
                 // Never backtrack past assumptions we still rely on.
                 self.backtrack_to(bt_level);
-                let asserting = learnt[0];
-                if learnt.len() == 1 {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
                     self.backtrack_to(0);
                     if self.value(asserting) == Assign::False {
                         self.ok = false;
@@ -609,7 +684,9 @@ impl Solver {
                         self.enqueue(asserting, None);
                     }
                 } else {
-                    let cref = self.attach(learnt);
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let cref = self.attach(&learnt);
+                    self.learnt = learnt;
                     self.enqueue(asserting, Some(cref));
                 }
                 self.var_inc /= 0.95;
@@ -668,6 +745,8 @@ fn luby(i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn lit(v: Var, pos: bool) -> Lit {
         Lit::new(v, pos)
@@ -788,5 +867,75 @@ mod tests {
         }
         s.set_conflict_limit(5);
         assert_eq!(s.solve(&[]), SatResult::Unknown);
+    }
+
+    /// Uniform random 3-SAT over `n` variables at clause ratio 4.26.
+    fn random_3sat(seed: u64, n: u32) -> Solver {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = Solver::new();
+        for _ in 0..n {
+            s.new_var();
+        }
+        for _ in 0..(f64::from(n) * 4.26) as usize {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| lit(rng.random_range(0..n), rng.random::<bool>()))
+                .collect();
+            s.add_clause(&c);
+        }
+        s
+    }
+
+    /// Every public counter plus the model bits.
+    fn snapshot(s: &Solver) -> (u64, u64, u64, u64, usize, usize, Vec<bool>) {
+        (
+            s.num_conflicts(),
+            s.num_propagations(),
+            s.num_learnts(),
+            s.num_queries(),
+            s.num_clauses(),
+            s.num_vars(),
+            (0..s.num_vars() as Var).map(|v| s.model_value(v)).collect(),
+        )
+    }
+
+    #[test]
+    fn clone_mid_life_continues_like_the_original() {
+        // Two solvers built the same way, cut off after learnts and a
+        // restart (the first comes after 32 conflicts); one is cloned.
+        let build = || {
+            let mut s = random_3sat(2, 150);
+            s.set_conflict_limit(100);
+            assert_eq!(s.solve(&[]), SatResult::Unknown);
+            s.set_conflict_limit(u64::MAX);
+            s
+        };
+        let mut original = build();
+        let mut twin = build();
+        assert!(original.num_learnts() > 0 && original.num_conflicts() > 32);
+        let mut clone = original.clone();
+        assert_eq!(snapshot(&clone), snapshot(&original));
+
+        let queries: [&[Lit]; 3] = [&[], &[lit(5, true), lit(77, false)], &[]];
+        let mut last = SatResult::Unknown;
+        for q in queries {
+            let r = original.solve(q);
+            last = r;
+            assert_eq!(clone.solve(q), r);
+            assert_eq!(twin.solve(q), r);
+            assert_eq!(snapshot(&clone), snapshot(&original));
+            assert_eq!(snapshot(&twin), snapshot(&original));
+        }
+        assert_eq!(last, SatResult::Sat, "the last model is blocked below");
+
+        // A clause added to the clone (blocking its model, over a fresh
+        // variable) leaves the original exactly where its twin stands.
+        let v = clone.new_var();
+        let mut block: Vec<Lit> = (0..150).map(|u| lit(u, !clone.model_value(u))).collect();
+        block.push(lit(v, true));
+        assert!(clone.add_clause(&block));
+        assert_eq!(clone.num_clauses(), original.num_clauses() + 1);
+        assert_eq!(original.solve(&[]), twin.solve(&[]));
+        assert_eq!(snapshot(&original), snapshot(&twin));
+        assert_eq!(original.num_vars(), 150);
     }
 }
