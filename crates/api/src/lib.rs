@@ -11,12 +11,11 @@
 //!   object per line, with [`encode_frame`] / [`decode_frame`].
 //! - [`spec`] + [`plan`] — the in-process vocabulary: a [`RequestSpec`]
 //!   is the single argument to `CorpusRunner::serve`, and a
-//!   [`PlanSpec`] (moved here from the bench planner) names the
-//!   execution policy both the runner and the daemon understand.
+//!   [`PlanSpec`] names the batch runner's dispatch order.
 //!
 //! The crate is pure vocabulary: no solver, no I/O beyond string
-//! encode/decode. `strsum-bench` consumes [`spec`]; `strsum-server`
-//! consumes [`wire`]; both speak [`plan`].
+//! encode/decode. `strsum-bench` consumes [`spec`] and [`plan`];
+//! `strsum-server` consumes [`wire`].
 
 #![warn(missing_docs)]
 
@@ -26,7 +25,7 @@ pub mod spec;
 pub mod wire;
 
 pub use json::{hex, unhex, Json, ParseError};
-pub use plan::{PlanMode, PlanSpec};
+pub use plan::PlanSpec;
 pub use spec::{LoopSpec, RequestSpec, Scope};
 pub use wire::{
     decode_frame, encode_frame, parse_outcome, BatchRequest, BatchResponse, Cost, DecodeError,

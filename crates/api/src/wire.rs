@@ -120,8 +120,6 @@ pub struct SummaryRequest {
     pub source: SourceSpec,
     /// Resource budget; `None` means the server default.
     pub budget: Option<Budget>,
-    /// Execution plan; `None` means the server default.
-    pub plan: Option<PlanSpec>,
     /// Engine toggles.
     pub flags: RequestFlags,
     /// Scheduling priority. Omitted on the wire when `Normal`, so
@@ -130,13 +128,12 @@ pub struct SummaryRequest {
 }
 
 impl SummaryRequest {
-    /// A default-budget, default-plan request for C source.
+    /// A default-budget request for C source.
     pub fn c(id: impl Into<String>, source: impl Into<Vec<u8>>) -> SummaryRequest {
         SummaryRequest {
             id: id.into(),
             source: SourceSpec::C(source.into()),
             budget: None,
-            plan: None,
             flags: RequestFlags::default(),
             priority: Priority::Normal,
         }
@@ -343,15 +340,6 @@ fn budget_obj(b: &Budget) -> String {
     )
 }
 
-fn plan_obj(p: &PlanSpec) -> String {
-    format!(
-        "{{\"mode\":\"{}\",\"cubes\":{},\"cost_order\":{}}}",
-        p.mode.label(),
-        p.cubes(),
-        p.cost_order
-    )
-}
-
 fn flags_obj(f: &RequestFlags) -> String {
     format!(
         "{{\"store\":{},\"screen\":{},\"theory_fast_path\":{}}}",
@@ -387,9 +375,6 @@ fn request_fields(r: &SummaryRequest, out: &mut String) {
     }
     if let Some(b) = &r.budget {
         out.push_str(&format!(",\"budget\":{}", budget_obj(b)));
-    }
-    if let Some(p) = &r.plan {
-        out.push_str(&format!(",\"plan\":{}", plan_obj(p)));
     }
     out.push_str(&format!(",\"flags\":{}", flags_obj(&r.flags)));
     if r.priority != Priority::Normal {
@@ -547,15 +532,17 @@ fn decode_budget(obj: &Json) -> Result<Budget, DecodeError> {
     })
 }
 
-fn decode_plan(obj: &Json) -> Result<PlanSpec, DecodeError> {
+/// Validates the `plan` object v1 clients may still send, then lets it
+/// go: the daemon has never read a request's plan, and every synthesis
+/// runs the one serial candidate search. A malformed plan is still a
+/// decode error, as it always was.
+fn check_plan(obj: &Json) -> Result<(), DecodeError> {
     let mode = need_str(obj, "mode")?;
-    let cubes = opt_u64(obj, "cubes", 0)? as usize;
-    let mut spec = PlanSpec::parse(&mode, cubes.max(2))
+    PlanSpec::parse(&mode)
         .ok_or_else(|| DecodeError::new(format!("unknown plan mode {mode:?}")))?;
-    if !opt_bool(obj, "cost_order", true)? {
-        spec = spec.corpus_order();
-    }
-    Ok(spec)
+    opt_u64(obj, "cubes", 0)?;
+    opt_bool(obj, "cost_order", true)?;
+    Ok(())
 }
 
 fn decode_flags(obj: &Json) -> Result<RequestFlags, DecodeError> {
@@ -600,10 +587,10 @@ fn decode_request(obj: &Json) -> Result<SummaryRequest, DecodeError> {
         None | Some(Json::Null) => None,
         Some(b) => Some(decode_budget(b)?),
     };
-    let plan = match obj.get("plan") {
-        None | Some(Json::Null) => None,
-        Some(p) => Some(decode_plan(p)?),
-    };
+    match obj.get("plan") {
+        None | Some(Json::Null) => {}
+        Some(p) => check_plan(p)?,
+    }
     let flags = match obj.get("flags") {
         None => RequestFlags::default(),
         Some(f) => decode_flags(f)?,
@@ -622,7 +609,6 @@ fn decode_request(obj: &Json) -> Result<SummaryRequest, DecodeError> {
         id,
         source,
         budget,
-        plan,
         flags,
         priority,
     })
@@ -777,7 +763,6 @@ mod tests {
     fn summary_request_round_trips() {
         let mut req = SummaryRequest::c("bash_01", "while (*s) s++;");
         req.budget = Some(Budget::default().with_retries(2, 3));
-        req.plan = Some(PlanSpec::cubed(4).corpus_order());
         req.flags.screen = false;
         let frame = Frame::Summary(req);
         let line = encode_frame(&frame);
@@ -823,19 +808,57 @@ mod tests {
         );
     }
 
+    /// The frame of `id` "x" with an empty source and `plan` spliced in.
+    fn with_plan(plan: &str) -> String {
+        format!("{{\"v\":1,\"type\":\"summary\",\"id\":\"x\",\"source\":\"\",\"plan\":{plan}}}")
+    }
+
     /// `adaptive` left the plan vocabulary as a spelling of serial: a v1
-    /// frame naming it still decodes, to the serial plan.
+    /// frame naming it still decodes, its plan checked and dropped.
     #[test]
     fn adaptive_plan_mode_decodes_as_serial() {
-        let frame = decode_frame(
-            "{\"v\":1,\"type\":\"summary\",\"id\":\"x\",\"source\":\"\",\
-             \"plan\":{\"mode\":\"adaptive\",\"cubes\":0,\"cost_order\":true}}",
-        )
-        .unwrap();
-        match frame {
-            Frame::Summary(r) => assert_eq!(r.plan, Some(PlanSpec::serial())),
-            other => panic!("wrong frame: {other:?}"),
+        let line = with_plan("{\"mode\":\"adaptive\",\"cubes\":0,\"cost_order\":true}");
+        assert_eq!(
+            decode_frame(&line).unwrap(),
+            Frame::Summary(SummaryRequest::c("x", ""))
+        );
+    }
+
+    /// `cubed` left the plan vocabulary as a spelling of serial: a v1
+    /// frame naming it still decodes, its cube count ignored but still
+    /// type-checked.
+    #[test]
+    fn cubed_plan_mode_decodes_as_serial() {
+        let line = with_plan("{\"mode\":\"cubed\",\"cubes\":4,\"cost_order\":false}");
+        assert_eq!(
+            decode_frame(&line).unwrap(),
+            Frame::Summary(SummaryRequest::c("x", ""))
+        );
+        assert!(decode_frame(&with_plan("{\"mode\":\"cubed\",\"cubes\":\"x\"}")).is_err());
+    }
+
+    /// The dropped plan is still outside input: a plan without a mode or
+    /// with a mistyped `cost_order` is a decode error, as it always was.
+    #[test]
+    fn malformed_plans_are_still_rejected() {
+        for plan in ["{\"cubes\":0}", "{\"mode\":\"serial\",\"cost_order\":1}"] {
+            assert!(decode_frame(&with_plan(plan)).is_err(), "{plan}");
         }
+    }
+
+    /// A plan-less request encodes to the exact bytes it always has, and
+    /// a request decoded with a serial plan re-encodes to those bytes.
+    #[test]
+    fn plan_bytes_are_pinned() {
+        let plain = "{\"v\":1,\"type\":\"summary\",\"id\":\"s\",\"source\":\"while (*s) s++;\",\
+                     \"flags\":{\"store\":true,\"screen\":true,\"theory_fast_path\":true}}";
+        let req = SummaryRequest::c("s", "while (*s) s++;");
+        assert_eq!(encode_frame(&Frame::Summary(req)), plain);
+        let planned = plain.replace(
+            ",\"flags\"",
+            ",\"plan\":{\"mode\":\"serial\",\"cubes\":0,\"cost_order\":true},\"flags\"",
+        );
+        assert_eq!(encode_frame(&decode_frame(&planned).unwrap()), plain);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use strsum_api::{
-    decode_frame, encode_frame, BatchRequest, BatchResponse, Cost, Frame, Origin, PlanSpec,
-    Priority, RequestFlags, SourceSpec, SummaryRequest, SummaryResponse, WireError,
+    decode_frame, encode_frame, BatchRequest, BatchResponse, Cost, Frame, Origin, Priority,
+    RequestFlags, SourceSpec, SummaryRequest, SummaryResponse, WireError,
 };
 use strsum_core::{Budget, BudgetKind, LoopOutcome, SolverTelemetry, SummaryKind};
 use strsum_smt::SessionStats;
@@ -46,37 +46,19 @@ fn any_budget() -> impl Strategy<Value = Budget> {
         )
 }
 
-fn any_plan() -> impl Strategy<Value = PlanSpec> {
-    (
-        proptest::sample::select(&["serial", "cubed"][..]),
-        2usize..64,
-        any::<bool>(),
-    )
-        .prop_map(|(mode, k, cost_order)| {
-            let spec = PlanSpec::parse(mode, k).expect("known mode");
-            if cost_order {
-                spec
-            } else {
-                spec.corpus_order()
-            }
-        })
-}
-
 fn any_request() -> impl Strategy<Value = SummaryRequest> {
     (
         ".{0,12}",
         any_source(),
         prop_oneof![Just(None), any_budget().prop_map(Some)],
-        prop_oneof![Just(None), any_plan().prop_map(Some)],
         (any::<bool>(), any::<bool>(), any::<bool>()),
         proptest::sample::select(&[Priority::Interactive, Priority::Normal, Priority::Bulk][..]),
     )
         .prop_map(
-            |(id, source, budget, plan, (store, screen, theory), priority)| SummaryRequest {
+            |(id, source, budget, (store, screen, theory), priority)| SummaryRequest {
                 id,
                 source,
                 budget,
-                plan,
                 flags: RequestFlags {
                     store,
                     screen,
@@ -218,6 +200,24 @@ proptest! {
         let back = decode_frame(&line);
         prop_assert!(back.is_ok(), "decode failed: {:?} for {line:?}", back.err());
         prop_assert_eq!(back.unwrap(), frame);
+    }
+
+    /// A v1 plan object, in any mode the wire ever accepted (the retired
+    /// `cubed` and `adaptive` included), is validated and dropped: the
+    /// request decodes to the one without it.
+    #[test]
+    fn every_plan_mode_decodes_as_serial(
+        req in any_request(),
+        mode in proptest::sample::select(&["serial", "cubed", "adaptive"][..]),
+        cubes in any::<u64>(),
+        cost_order in any::<bool>(),
+    ) {
+        let line = encode_frame(&Frame::Summary(req.clone()));
+        let plan = format!(
+            ",\"plan\":{{\"mode\":\"{mode}\",\"cubes\":{cubes},\"cost_order\":{cost_order}}}}}"
+        );
+        let with_plan = format!("{}{plan}", &line[..line.len() - 1]);
+        prop_assert_eq!(decode_frame(&with_plan).ok(), Some(Frame::Summary(req)));
     }
 
     #[test]

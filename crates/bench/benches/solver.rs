@@ -25,11 +25,11 @@ fn bench_bitvector_query(c: &mut Criterion) {
 /// The SAT hot path pinned: a real bit-blasted CEGIS candidate query —
 /// the strchr-like loop's counterexample constraints over 5 symbolic
 /// program bytes, encoded once into a persistent session — re-solved from
-/// a fork every iteration. Each iteration pays exactly what one cube
-/// worker pays in the parallel search (`Session::fork` + canonical model
-/// extraction), and the work inside is pure CDCL propagate/decide/learn
-/// on a fixed clause database, so this is the benchmark to watch when
-/// touching `Solver::propagate`/`solve` or the fork path.
+/// a fork every iteration. Each iteration pays `Session::fork` plus one
+/// canonical model extraction, and the work inside is pure CDCL
+/// propagate/decide/learn on a fixed clause database, so this is the
+/// benchmark to watch when touching `Solver::propagate`/`solve` or the
+/// fork path.
 fn bench_sat_hot_path(c: &mut Criterion) {
     let func = strsum_cfront::compile_one(
         "char* f(char* s) { while (*s != 0 && *s != ':') s++; return s; }",

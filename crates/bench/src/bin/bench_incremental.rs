@@ -1,7 +1,7 @@
-//! Concrete-first + parallel-search + plan ablations and determinism
-//! audits over a corpus slice.
+//! Concrete-first + multi-worker ablations and determinism audits over a
+//! corpus slice.
 //!
-//! Six passes:
+//! Five passes:
 //!
 //! 1. **screened** — the default pipeline: concrete-first screening +
 //!    OE-class blocking inside incremental sessions, behind the
@@ -12,17 +12,13 @@
 //! 3. **screened from-scratch** — pass 1 with throwaway solvers. Canonical
 //!    model extraction makes passes 1 and 3 synthesise byte-identical
 //!    programs; any divergence is a determinism violation.
-//! 4. **serial reference** — pass 1 pinned to 1 thread and 1 cube with
-//!    cost-aware scheduling on, populating the per-loop cost book
+//! 4. **serial reference** — pass 1 pinned to 1 thread with cost-aware
+//!    scheduling on, populating the per-loop cost book
 //!    (`results/costs.tsv`) and measuring the serial makespan.
-//! 5. **cubed** — pass 4 with ≥ 2 corpus threads, 4 candidate-search
-//!    cubes per query, and longest-job-first dispatch from pass 4's cost
-//!    book. The deterministic cube merge makes passes 4 and 5 synthesise
+//! 5. **multi-worker serial** — pass 4 with ≥ 2 corpus threads and
+//!    longest-job-first dispatch from pass 4's cost book. Dispatch order
+//!    never reaches synthesis, so passes 4 and 5 synthesise
 //!    byte-identical programs; any divergence is a determinism violation.
-//! 6. **multi-worker serial** — the serial plan (no cubes,
-//!    longest-job-first dispatch from pass 4's cost book) at the same
-//!    thread count as pass 5, so the two differ only in strategy. The
-//!    cubed pass must reproduce it byte-for-byte.
 //!
 //! The run fails (exit 1) on any determinism violation and on any
 //! screen-layer/solver disagreement — a candidate the symbolic circuit
@@ -31,10 +27,9 @@
 //! into CI.
 //!
 //! Results land in `BENCH_pr2.json` (ablation + audit counters),
-//! `BENCH_incremental.json` (the PR-1 incremental-vs-scratch shape),
-//! `BENCH_pr4.json` (serial-vs-parallel makespans, per-loop speedups, and
-//! the parallel determinism audit), and `BENCH_pr6.json` (per-plan
-//! makespans and determinism counters).
+//! `BENCH_incremental.json` (the PR-1 incremental-vs-scratch shape) and
+//! `BENCH_pr4.json` (1-worker vs multi-worker makespans, per-loop
+//! speedups, and the multi-worker determinism audit).
 //!
 //! With `--trace PATH` the run also writes a Chrome `trace_event` JSON of
 //! every instrumented phase and *reconciles* it against the solver
@@ -45,11 +40,7 @@
 //! A mismatch fails the run.
 //!
 //! Usage: `cargo run --release -p strsum-bench --bin bench_incremental
-//!         [--limit N] [--timeout-secs N] [--threads N] [--trace PATH]
-//!         [--plan MODE] [--cubes K]`
-//!
-//! `--plan`/`--cubes` override pass 1's plan (the default pipeline); the
-//! ablation passes keep their pinned plans, which is what they ablate.
+//!         [--limit N] [--timeout-secs N] [--threads N] [--trace PATH]`
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -126,8 +117,8 @@ fn main() {
 
     // Passes 1–3 pin corpus-order dispatch so the screening ablation and
     // its audit stay independent of whatever cost book is on disk; passes
-    // 4–6 use cost-ordered plans (pass 4 populates the book the later
-    // passes schedule from).
+    // 4–5 use cost-ordered plans (pass 4 populates the book pass 5
+    // schedules from).
     let run = |cfg: SynthesisConfig, cached: bool, n: usize, plan: PlanSpec| {
         let mut runner = CorpusRunner::new(plan).persist_costs(true);
         if let Some(c) = trace.collector() {
@@ -142,14 +133,15 @@ fn main() {
         );
         (report, start.elapsed())
     };
-    let pass1_plan = cli.plan(PlanSpec::serial().corpus_order());
-    println!(
-        "pass 1/6: screened + cached, incremental sessions ({} plan)…",
-        pass1_plan.mode.label()
+    println!("pass 1/5: screened + cached, incremental sessions…");
+    let (r1, _) = run(
+        config(true, true, timeout),
+        true,
+        threads,
+        PlanSpec::serial().corpus_order(),
     );
-    let (r1, _) = run(config(true, true, timeout), true, threads, pass1_plan);
     let (screened, cache) = (r1.results, r1.cache);
-    println!("pass 2/6: baseline (no screen, no cache), incremental sessions…");
+    println!("pass 2/5: baseline (no screen, no cache), incremental sessions…");
     let baseline = run(
         config(false, true, timeout),
         false,
@@ -158,7 +150,7 @@ fn main() {
     )
     .0
     .results;
-    println!("pass 3/6: screened + cached, from-scratch reference…");
+    println!("pass 3/5: screened + cached, from-scratch reference…");
     let (r3, _) = run(
         config(true, false, timeout),
         true,
@@ -166,28 +158,18 @@ fn main() {
         PlanSpec::serial().corpus_order(),
     );
     let (scratch, scratch_cache) = (r3.results, r3.cache);
-    println!("pass 4/6: serial reference (1 thread, 1 cube, recording costs)…");
+    println!("pass 4/5: serial reference (1 thread, recording costs)…");
     let (r4, serial_makespan) = run(config(true, true, timeout), true, 1, PlanSpec::serial());
     let (serial, serial_cache) = (r4.results, r4.cache);
     let threads_parallel = threads.max(2);
-    println!(
-        "pass 5/6: parallel ({threads_parallel} threads, 4 cubes/query, cost-aware dispatch)…"
-    );
+    println!("pass 5/5: serial at {threads_parallel} threads (cost-ordered dispatch)…");
     let (r5, parallel_makespan) = run(
-        config(true, true, timeout),
-        true,
-        threads_parallel,
-        PlanSpec::cubed(4),
-    );
-    let (parallel, parallel_cache) = (r5.results, r5.cache);
-    println!("pass 6/6: serial at {threads_parallel} threads (cost-ordered dispatch)…");
-    let (r6, serial_mw_makespan) = run(
         config(true, true, timeout),
         true,
         threads_parallel,
         PlanSpec::serial(),
     );
-    let serial_mw = r6.results;
+    let (parallel, parallel_cache) = (r5.results, r5.cache);
 
     // Determinism audits: identical programs, identical failure kinds,
     // between two passes that must agree byte-for-byte. (Timeout-bounded
@@ -227,9 +209,6 @@ fn main() {
     };
     let (mismatches, timing_races) = audit(&screened, &scratch, "incremental", "from-scratch");
     let (par_mismatches, par_races) = audit(&serial, &parallel, "serial", "parallel");
-    // Plan audit: the cubed plan must reproduce the multi-worker serial
-    // pass byte-for-byte — strategy may only move wall clock.
-    let (cubed_mismatches, cubed_races) = audit(&serial_mw, &parallel, "serial-mw", "cubed");
     if verbose {
         for (s, b) in screened.iter().zip(&baseline) {
             let show = |r: &LoopSynth| match (&r.summary, &r.failure) {
@@ -252,7 +231,6 @@ fn main() {
     disagreed.extend(disagreements(&scratch));
     disagreed.extend(disagreements(&serial));
     disagreed.extend(disagreements(&parallel));
-    disagreed.extend(disagreements(&serial_mw));
 
     let count_ok = |rs: &[LoopSynth]| rs.iter().filter(|r| r.summary.is_some()).count();
     let screened_q = aggregate_telemetry(&screened).total().queries;
@@ -295,7 +273,7 @@ fn main() {
         serial_makespan.as_secs_f64() / parallel_makespan.as_secs_f64().max(1e-9);
     println!(
         "parallel : {:>8.2}s serial makespan vs {:>8.2}s parallel ({makespan_speedup:.2}x on \
-         {cores} core(s), {threads_parallel} threads × 4 cubes)",
+         {cores} core(s), {threads_parallel} threads)",
         serial_makespan.as_secs_f64(),
         parallel_makespan.as_secs_f64()
     );
@@ -304,11 +282,6 @@ fn main() {
         entries.len() - par_mismatches.len() - par_races,
         entries.len(),
         par_races
-    );
-    println!(
-        "audit    : cubed vs serial-mw — {}+{}r (mismatches+timing races)",
-        cubed_mismatches.len(),
-        cubed_races
     );
 
     let mut json = String::new();
@@ -377,15 +350,15 @@ fn main() {
     let _ = writeln!(json, "}}");
     write_result("BENCH_incremental.json", &json);
 
-    // The parallel-search ablation: serial and parallel makespans over the
-    // same slice, plus per-loop speedups. Speedup is informational on a
+    // The multi-worker ablation: 1-worker and multi-worker makespans over
+    // the same slice, plus per-loop speedups. Speedup is informational on a
     // 1-core host (the `cores` field says which kind of run this was); the
     // determinism audit is the hard gate everywhere.
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads_parallel\":{threads_parallel},\"intra_loop\":4,\"cores\":{cores}}},",
+        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads_parallel\":{threads_parallel},\"cores\":{cores}}},",
         entries.len()
     );
     let _ = writeln!(
@@ -431,45 +404,6 @@ fn main() {
     let _ = writeln!(json, "}}");
     write_result("BENCH_pr4.json", &json);
 
-    // The plan ablation: one makespan per plan at the same thread count.
-    // Speedup is informational (the `cores` field says which kind of
-    // host ran it); the determinism audits are the hard gate.
-    let count_ok_plan = |rs: &[LoopSynth]| rs.iter().filter(|r| r.summary.is_some()).count();
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads\":{threads_parallel},\"cores\":{cores}}},",
-        entries.len()
-    );
-    let _ = writeln!(json, "  \"plans\": {{");
-    let plan_row = |makespan: Duration, rs: &[LoopSynth], mism: usize, races: usize| {
-        format!(
-            "{{\"makespan_secs\":{:.3},\"synthesised\":{},\"vs_serial_speedup\":{:.4},\"determinism_violations\":{mism},\"timing_races\":{races}}}",
-            makespan.as_secs_f64(),
-            count_ok_plan(rs),
-            serial_mw_makespan.as_secs_f64() / makespan.as_secs_f64().max(1e-9)
-        )
-    };
-    let _ = writeln!(
-        json,
-        "    \"serial\": {},",
-        plan_row(serial_mw_makespan, &serial_mw, 0, 0)
-    );
-    let _ = writeln!(
-        json,
-        "    \"cubed\": {}",
-        plan_row(
-            parallel_makespan,
-            &parallel,
-            cubed_mismatches.len(),
-            cubed_races
-        )
-    );
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    write_result("BENCH_pr6.json", &json);
-
     let mut failed = false;
     // Trace ↔ telemetry reconciliation: every solver query made on behalf
     // of synthesis flows through a `search`- or `verify`-tagged
@@ -485,12 +419,10 @@ fn main() {
                 trace_q += agg.get(name, tag).map_or(0, |row| row.arg("queries"));
             }
         }
-        let telemetry_q = [
-            &screened, &baseline, &scratch, &serial, &parallel, &serial_mw,
-        ]
-        .iter()
-        .map(|rs| aggregate_telemetry(rs).total().queries)
-        .sum::<u64>();
+        let telemetry_q = [&screened, &baseline, &scratch, &serial, &parallel]
+            .iter()
+            .map(|rs| aggregate_telemetry(rs).total().queries)
+            .sum::<u64>();
         if collector.dropped() > 0 {
             println!(
                 "trace    : ring buffer dropped {} events; skipping reconciliation",
@@ -505,11 +437,7 @@ fn main() {
             failed = true;
         }
     }
-    let all_mismatches: Vec<&String> = mismatches
-        .iter()
-        .chain(&par_mismatches)
-        .chain(&cubed_mismatches)
-        .collect();
+    let all_mismatches: Vec<&String> = mismatches.iter().chain(&par_mismatches).collect();
     if !all_mismatches.is_empty() {
         eprintln!("DETERMINISM VIOLATIONS:");
         for m in all_mismatches {

@@ -2,9 +2,9 @@
 //!
 //! Four passes over a corpus slice:
 //!
-//! 1. **serial clean** — 1 thread, 1 cube, no faults: the baseline
+//! 1. **serial clean** — 1 thread, no faults: the baseline
 //!    outcomes, and the reference for every later comparison.
-//! 2. **parallel clean** — ≥ 2 threads, 2 cubes: must match pass 1
+//! 2. **parallel clean** — ≥ 2 threads: must match pass 1
 //!    byte-for-byte (programs, failures, outcomes), excepting verdicts
 //!    that raced a budget (`stats.exhausted` set on either side).
 //! 3. **ungoverned serial** — pass 1 with `Budget::governed = false`
@@ -71,7 +71,7 @@ fn main() {
 
     // Pass 2: parallel clean — byte-identity with pass 1.
     println!("pass 2/4: parallel clean (byte-identity audit)…");
-    let parallel = CorpusRunner::new(PlanSpec::cubed(2).corpus_order()).serve(
+    let parallel = CorpusRunner::new(PlanSpec::serial().corpus_order()).serve(
         RequestSpec::corpus_slice(limit)
             .config(cfg.clone())
             .threads(threads),
@@ -193,7 +193,6 @@ fn main() {
     println!("pass 4/4: seeded faults {planned:?}, then quarantine retry…");
 
     // 4a: no retries — pin the classification of each injected fault.
-    // forced-Unknown counts queries; cubes would race the counter
     let faulted = CorpusRunner::new(PlanSpec::serial().corpus_order())
         .fault_plan(plan.clone())
         .serve(

@@ -28,7 +28,7 @@ fn main() {
     // Scaled ladder (seconds): paper 30s/3min/10min/1h → 0.5/3/10/60 × scale.
     let ladder: [f64; 4] = [0.5 * scale, 3.0 * scale, 10.0 * scale, 60.0 * scale];
 
-    let runner = CorpusRunner::new(cli.plan(PlanSpec::serial()))
+    let runner = CorpusRunner::new(PlanSpec::serial())
         .persist_costs(true)
         .fault_plan(cli.fault_plan());
     let mut table: Vec<[usize; 4]> = Vec::new();

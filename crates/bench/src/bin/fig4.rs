@@ -24,7 +24,7 @@ fn main() {
         budget: strsum_core::Budget::default().with_wall(Duration::from_secs(20)),
         ..Default::default()
     };
-    let summaries = CorpusRunner::new(cli.plan(PlanSpec::serial()))
+    let summaries = CorpusRunner::new(PlanSpec::serial())
         .persist_costs(true)
         .serve(
             RequestSpec::corpus()

@@ -561,12 +561,11 @@ fn main() -> ExitCode {
         lat.sort_unstable();
         let (p50, p99) = (percentile(&lat, 50.0), percentile(&lat, 99.0));
         println!(
-            "mixed/{name}: {} answers in {secs:.2}s ({throughput:.1} req/s), p50 {p50}µs, p99 {p99}µs, {} hits, fast-lane {}, heap {}, cubed {}",
+            "mixed/{name}: {} answers in {secs:.2}s ({throughput:.1} req/s), p50 {p50}µs, p99 {p99}µs, {} hits, fast-lane {}, heap {}",
             responses.len(),
             stats.store_hits,
             sched.fast_lane,
-            sched.heap,
-            sched.cubed
+            sched.heap
         );
         // Byte identity against the phase-1 cold answers (the batch
         // reference transitively): scheduling must be invisible in the

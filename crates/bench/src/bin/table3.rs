@@ -37,7 +37,7 @@ fn main() {
     println!(
         "synthesising 115 loops (full vocabulary, max_prog_size=9, max_ex_size=3, timeout={timeout}s, {threads} threads)…"
     );
-    let mut runner = CorpusRunner::new(cli.plan(PlanSpec::serial()))
+    let mut runner = CorpusRunner::new(PlanSpec::serial())
         .persist_costs(true)
         .fault_plan(cli.fault_plan());
     if let Some(c) = trace.collector() {

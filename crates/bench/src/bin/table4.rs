@@ -24,7 +24,7 @@ fn main() {
     let threads = cli.threads();
     let seed: u64 = cli.parsed("--seed", 2019);
 
-    let runner = CorpusRunner::new(cli.plan(PlanSpec::serial())).persist_costs(true);
+    let runner = CorpusRunner::new(PlanSpec::serial()).persist_costs(true);
     let success = |vocab: Vocab| -> (usize, SolverTelemetry) {
         let cfg = SynthesisConfig {
             vocab,

@@ -13,14 +13,11 @@
 //! - `--retries <n>` — quarantine-lane rounds for budget-exhausted loops
 //! - `--fault-plan <path>` — a deterministic [`FaultPlan`] file to inject
 //! - `--trace <path>` — Chrome-trace span capture (see [`TraceArgs`])
-//! - `--plan {serial,cubed}` — execution strategy (see [`PlanSpec`]);
-//!   `--cubes <k>` sets the cube count `cubed` uses. `adaptive` is
-//!   accepted as a spelling of serial
 
 use std::time::Duration;
 use strsum_core::Budget;
 
-use crate::{FaultPlan, PlanSpec, TraceArgs};
+use crate::{FaultPlan, TraceArgs};
 
 /// Parsed command line: a snapshot of `std::env::args` plus typed
 /// accessors over the uniform experiment flags.
@@ -38,8 +35,6 @@ pub const UNIFORM_FLAGS: &[&str] = &[
     "--retries",
     "--fault-plan",
     "--trace",
-    "--plan",
-    "--cubes",
 ];
 
 /// Raw `--flag value` lookup over the process arguments (shared by
@@ -116,44 +111,6 @@ impl Cli {
         }
         budget.retries = self.parsed("--retries", budget.retries);
         budget
-    }
-
-    /// `--plan <mode>` with `--cubes <k>`: the run's [`PlanSpec`],
-    /// starting from `default` (so each binary keeps its experimentally
-    /// meaningful baseline when the flags are absent). An unrecognised
-    /// mode exits with a usage error — a typo'd plan silently falling
-    /// back would invalidate a benchmark comparison. `--cubes` alone
-    /// retargets a fixed cubed default's cube count.
-    pub fn plan(&self, default: PlanSpec) -> PlanSpec {
-        let cubes = self.parsed(
-            "--cubes",
-            match default.mode {
-                crate::PlanMode::Cubed(k) => k,
-                _ => 4,
-            },
-        );
-        match self.value("--plan") {
-            None => match default.mode {
-                crate::PlanMode::Cubed(_) => PlanSpec {
-                    mode: crate::PlanMode::Cubed(cubes.max(2)),
-                    ..default
-                },
-                _ => default,
-            },
-            Some(mode) => match PlanSpec::parse(mode, cubes) {
-                Some(spec) => PlanSpec {
-                    cost_order: default.cost_order,
-                    ..spec
-                },
-                None => {
-                    eprintln!(
-                        "error: unknown --plan {mode:?} \
-                         (expected serial or cubed; adaptive means serial)"
-                    );
-                    std::process::exit(2);
-                }
-            },
-        }
     }
 
     /// `--fault-plan <path>`: loads the plan, exiting with the parse
@@ -235,40 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_flag_layers_over_the_binary_default() {
-        // No flags: the binary's default survives untouched.
-        let cli = Cli::from_args(&["prog"]);
-        assert_eq!(cli.plan(PlanSpec::serial()), PlanSpec::serial());
-        assert_eq!(
-            cli.plan(PlanSpec::cubed(4).corpus_order()),
-            PlanSpec::cubed(4).corpus_order()
-        );
-
-        // --plan switches the mode but keeps the default's ordering.
-        let cli = Cli::from_args(&["prog", "--plan", "cubed"]);
-        assert_eq!(
-            cli.plan(PlanSpec::serial().corpus_order()),
-            PlanSpec::cubed(4).corpus_order()
-        );
-
-        // `adaptive` is a spelling of serial.
-        let cli = Cli::from_args(&["prog", "--plan", "adaptive"]);
-        assert_eq!(cli.plan(PlanSpec::cubed(4)), PlanSpec::serial());
-        assert_eq!(
-            cli.plan(PlanSpec::serial().corpus_order()),
-            PlanSpec::serial().corpus_order()
-        );
-
-        // --cubes feeds the fixed modes, given or defaulted.
-        let cli = Cli::from_args(&["prog", "--plan", "cubed", "--cubes", "8"]);
-        assert_eq!(cli.plan(PlanSpec::serial()), PlanSpec::cubed(8));
-
-        // --cubes alone retargets a fixed default's cube count.
-        let cli = Cli::from_args(&["prog", "--cubes", "2"]);
-        assert_eq!(cli.plan(PlanSpec::cubed(4)), PlanSpec::cubed(2));
-    }
-
-    #[test]
     fn unknown_flags_are_rejected_not_ignored() {
         // The motivating bug: `--paln adaptive` parsed cleanly and ran
         // serial, silently invalidating the benchmark comparison.
@@ -276,8 +199,15 @@ mod tests {
         assert_eq!(cli.check(&[]), Err("--paln".to_string()));
 
         // Uniform flags pass; values (even bare words) are not checked.
-        let cli = Cli::from_args(&["prog", "--plan", "adaptive", "--threads", "4"]);
+        let cli = Cli::from_args(&["prog", "--threads", "4", "--retries", "2"]);
         assert_eq!(cli.check(&[]), Ok(()));
+
+        // `--plan` and `--cubes` left with cube-and-conquer: a plan is
+        // now only a dispatch order, which each binary fixes itself.
+        let cli = Cli::from_args(&["prog", "--plan", "cubed"]);
+        assert_eq!(cli.check(&[]), Err("--plan".to_string()));
+        let cli = Cli::from_args(&["prog", "--cubes", "8"]);
+        assert_eq!(cli.check(&[]), Err("--cubes".to_string()));
 
         // Per-binary extras are accepted only when declared.
         let cli = Cli::from_args(&["prog", "--full"]);

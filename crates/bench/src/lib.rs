@@ -21,7 +21,7 @@ mod trace;
 pub use cli::Cli;
 pub use fault::{Fault, FaultPlan};
 pub use runner::{CacheStats, CorpusReport, CorpusRunner, KindCounts, OutcomeCounts, RetryStats};
-pub use strsum_api::{LoopSpec, PlanMode, PlanSpec, RequestSpec, Scope};
+pub use strsum_api::{LoopSpec, PlanSpec, RequestSpec, Scope};
 pub use strsum_corpus::plan::{ljf_order, PlanCounts};
 pub use trace::TraceArgs;
 

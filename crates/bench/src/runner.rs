@@ -1,7 +1,7 @@
 //! The batch front end over the one summary lifecycle: [`CorpusRunner`].
 //!
-//! A runner fixes *how* to execute ([`PlanSpec`]: serial / cubed ×
-//! cost-ordered or corpus-ordered dispatch);
+//! A runner fixes *how* to dispatch ([`PlanSpec`]: cost-ordered or
+//! corpus-ordered);
 //! [`CorpusRunner::serve`] takes a [`RequestSpec`] saying *what* to run
 //! (config / threads / cache / scope) and returns one [`CorpusReport`]
 //! holding the per-loop results plus every aggregate the binaries report.
@@ -30,10 +30,9 @@
 //! still slotted by original index), and the store traffic of a
 //! fingerprint group happens on one worker in corpus order — so results,
 //! cache-hit patterns, and the aggregated metrics table are all
-//! independent of thread scheduling *and* of the dispatch schedule.
-//! Cubed strategies keep the contract by the deterministic merge theorem
-//! (budget-exhaustion verdicts remain wall-clock-dependent under *any*
-//! strategy — the audits classify those as timing races).
+//! independent of thread scheduling *and* of the dispatch schedule
+//! (budget-exhaustion verdicts remain wall-clock-dependent — the audits
+//! classify those as timing races).
 
 use std::fs;
 use std::io::Write as _;
@@ -232,8 +231,8 @@ pub struct CorpusReport {
     /// Quarantine/retry-lane accounting (all zero with `retries` = 0).
     pub retries: RetryStats,
     /// Per-strategy tallies of the run (all zero for runs that never
-    /// executed, e.g. summaries loaded from disk). `portfolio` is always
-    /// 0.
+    /// executed, e.g. summaries loaded from disk). `cubed` and
+    /// `portfolio` are always 0.
     pub plan: PlanCounts,
 }
 
@@ -289,9 +288,9 @@ struct Executed {
 }
 
 impl CorpusRunner {
-    /// A runner executing under `plan` (strategy × dispatch order — see
-    /// [`PlanSpec`]); no tracing, no faults. Any plan yields
-    /// byte-identical summaries — only wall clock changes.
+    /// A runner dispatching in `plan`'s order (see [`PlanSpec`]); no
+    /// tracing, no faults. Either order yields byte-identical summaries —
+    /// only wall clock changes.
     ///
     /// Everything else a run varies (config, threads, cache, scope)
     /// arrives with the [`RequestSpec`] at [`CorpusRunner::serve`] time.
@@ -418,13 +417,7 @@ impl CorpusRunner {
     /// lives in a scratch directory for the length of the run.
     fn execute(&self, entries: &[LoopEntry]) -> Executed {
         let scratch = ScratchDir::new();
-        // The cube count comes from the plan (the grant to
-        // `Engine::resolve`), so the engine's base config is serial.
-        let base = SynthesisConfig {
-            intra_loop: 1,
-            ..self.cfg.clone()
-        };
-        let engine = Engine::open(&scratch.0, 0, base)
+        let engine = Engine::open(&scratch.0, 0, self.cfg.clone())
             .unwrap_or_else(|e| panic!("cannot open a run store in {}: {e}", scratch.0.display()));
 
         // Phase 1: prepare every loop (compile, fingerprint).
@@ -452,8 +445,7 @@ impl CorpusRunner {
         } else {
             (0..keys.len()).collect()
         };
-        let cubes = self.plan.cubes().max(1);
-        let plan = plan_counts(entries.len(), cubes);
+        let plan = plan_counts(entries.len());
 
         // Phase 3: resolve the fingerprint groups, each on one worker in
         // corpus order, dispatched in the order of their first
@@ -486,7 +478,7 @@ impl CorpusRunner {
             let resolve_member = |i: usize| {
                 let task = slots[i].lock().expect("task slot").take();
                 let task = task.expect("each task resolves once");
-                self.resolve(&engine, &entries[i], task, cubes)
+                self.resolve(&engine, &entries[i], task)
             };
             group
                 .iter()
@@ -529,18 +521,11 @@ impl CorpusRunner {
         }
     }
 
-    /// Resolves one prepared loop at `cubes` cubes per query, with any
-    /// planned fault applied first: a planned panic unwinds right here,
-    /// inside the dispatching `par_map` worker; a forced `Unknown` or an
-    /// expired deadline doctors the task's config so the ordinary budget
-    /// machinery classifies it.
-    fn resolve(
-        &self,
-        engine: &Engine,
-        entry: &LoopEntry,
-        mut task: PreparedTask,
-        cubes: usize,
-    ) -> LoopSynth {
+    /// Resolves one prepared loop, with any planned fault applied first:
+    /// a planned panic unwinds right here, inside the dispatching
+    /// `par_map` worker; a forced `Unknown` or an expired deadline doctors
+    /// the task's config so the ordinary budget machinery classifies it.
+    fn resolve(&self, engine: &Engine, entry: &LoopEntry, mut task: PreparedTask) -> LoopSynth {
         if let Some(fault) = self.fault_plan.fault_for(&entry.id) {
             strsum_obs::counter(names::FAULT_INJECTED, "corpus", 1);
             let cfg = task.config_mut();
@@ -550,7 +535,7 @@ impl CorpusRunner {
                 Fault::DeadlineExpiry => cfg.budget.wall = Duration::ZERO,
             }
         }
-        resolved(entry, engine.resolve(task, cubes))
+        resolved(entry, engine.resolve(task))
     }
 
     /// The quarantine lane: loops whose main-lane outcome was a budget
@@ -585,7 +570,7 @@ impl CorpusRunner {
             let raw = par_map(&idxs, self.threads, |&i| {
                 strsum_obs::counter(names::RETRY_ATTEMPT, "corpus", 1);
                 match engine.prepare(self.request(&entries[i], Some(budget), false)) {
-                    Prepared::Task(task) => resolved(&entries[i], engine.resolve(task, 1)),
+                    Prepared::Task(task) => resolved(&entries[i], engine.resolve(task)),
                     Prepared::Done(resp) => refused(&entries[i], resp),
                 }
             });
@@ -793,29 +778,16 @@ fn load_summaries(path: &std::path::Path, entries: &[LoopEntry]) -> Option<Vec<L
     )
 }
 
-/// The strategy tallies of a run of `loops` loops at `cubes` cubes per
-/// query (1 = serial), also recorded as the `plan.*` counters.
-fn plan_counts(loops: usize, cubes: usize) -> PlanCounts {
-    let counts = if cubes > 1 {
-        PlanCounts {
-            cubed: loops,
-            ..PlanCounts::default()
-        }
-    } else {
-        PlanCounts {
-            serial: loops,
-            ..PlanCounts::default()
-        }
-    };
-    for (name, n) in [
-        (names::PLAN_SERIAL, counts.serial),
-        (names::PLAN_CUBED, counts.cubed),
-    ] {
-        if n > 0 {
-            strsum_obs::counter(name, "bench", n as u64);
-        }
+/// The strategy tallies of a run of `loops` loops, every one serial,
+/// also recorded as the `plan.serial` counter.
+fn plan_counts(loops: usize) -> PlanCounts {
+    if loops > 0 {
+        strsum_obs::counter(names::PLAN_SERIAL, "bench", loops as u64);
     }
-    counts
+    PlanCounts {
+        serial: loops,
+        ..PlanCounts::default()
+    }
 }
 
 #[cfg(test)]
@@ -828,8 +800,8 @@ mod tests {
     /// run — config with budget and retries, threads, cache, scope).
     #[test]
     fn plan_and_request_cover_the_old_builder_vocabulary() {
-        let runner = CorpusRunner::new(PlanSpec::cubed(4));
-        assert_eq!(runner.plan, PlanSpec::cubed(4));
+        let runner = CorpusRunner::new(PlanSpec::serial().corpus_order());
+        assert_eq!(runner.plan, PlanSpec::serial().corpus_order());
 
         let cfg = SynthesisConfig {
             budget: strsum_core::Budget {

@@ -40,13 +40,6 @@ pub struct SynthesisConfig {
     /// When false, every candidate goes straight to the bounded checker —
     /// the ablation baseline.
     pub screen: bool,
-    /// Disjoint candidate-space cubes solved on worker threads per search
-    /// query (cube and conquer over the top gadget-selector byte, see
-    /// [`crate::cubes`]); 1 (the default) keeps the search serial. Any
-    /// value produces byte-identical candidates and summaries — only wall
-    /// clock and solver effort change. Applies to incremental sessions;
-    /// the from-scratch reference path always searches serially.
-    pub intra_loop: usize,
     /// Layered feasibility pipeline in the symbolic engine (the default):
     /// branch queries go through the constructive string theory and the
     /// canonical-constraint cache before any SAT solving, and the SAT
@@ -78,7 +71,6 @@ impl Default for SynthesisConfig {
             forced_unknown_at: None,
             incremental: true,
             screen: true,
-            intra_loop: 1,
             theory_fast_path: true,
             recur_lane: true,
         }
@@ -140,11 +132,11 @@ pub fn synthesize(func: &strsum_ir::Func, cfg: &SynthesisConfig) -> SynthesisRes
 
 /// [`synthesize`] with an externally owned cancellation token.
 ///
-/// The token reaches every solver and the symbolic engine of the attempt
-/// (cube forks included), so cancelling it from another thread stops the
-/// run at the next governor stride and the attempt reports wall-budget
-/// exhaustion. Results are unaffected by *when* (or whether) the token fires —
-/// a run that completes before cancellation returns exactly what
+/// The token reaches every solver and the symbolic engine of the
+/// attempt, so cancelling it from another thread stops the run at the
+/// next governor stride and the attempt reports wall-budget exhaustion.
+/// Results are unaffected by *when* (or whether) the token fires — a run
+/// that completes before cancellation returns exactly what
 /// [`synthesize`] would.
 pub fn synthesize_with_cancel(
     func: &strsum_ir::Func,

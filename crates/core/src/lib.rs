@@ -36,7 +36,6 @@
 
 pub mod budget;
 pub mod cegis;
-pub mod cubes;
 pub mod deepening;
 pub mod equivalence;
 pub mod memoryless;
@@ -52,7 +51,6 @@ pub use cegis::{
     minimize, minimize_screened, minimize_with, synthesize, synthesize_with_cancel, SynthStats,
     SynthesisConfig, SynthesisResult,
 };
-pub use cubes::cube_ranges;
 pub use deepening::{synthesize_deepening, DeepeningConfig};
 pub use equivalence::{check_equivalence, verify_summary, EquivalenceResult};
 pub use memoryless::{check_memoryless, Direction, MemorylessReport};

@@ -92,10 +92,6 @@ pub struct SynthSession<'f> {
     /// Accumulated stats of throwaway solvers (from-scratch mode only).
     scratch_search: SessionStats,
     scratch_verify: SessionStats,
-    /// Accumulated effort of cube workers (`cfg.intra_loop > 1`): forked
-    /// sessions never report back into `search`, so their deltas are summed
-    /// here and folded into [`SynthSession::telemetry`].
-    cube_effort: SessionStats,
     /// The attempt's cancellation flag; handed to every solver and to the
     /// symbolic engine, and exposed via [`SynthSession::cancel_token`].
     cancel: CancelToken,
@@ -128,8 +124,8 @@ impl<'f> SynthSession<'f> {
 
     /// Like [`SynthSession::new`], but wires an externally owned
     /// cancellation token through the whole attempt: the symbolic
-    /// engine, the search and verify solvers, every cube fork (clones
-    /// share one flag), and the between-iteration checks.
+    /// engine, the search and verify solvers (clones share one flag), and
+    /// the between-iteration checks.
     ///
     /// A pre-cancelled token makes the session stop at the first
     /// governor stride, surfacing as wall-budget exhaustion.
@@ -191,7 +187,6 @@ impl<'f> SynthSession<'f> {
             screen,
             scratch_search: SessionStats::default(),
             scratch_verify: SessionStats::default(),
-            cube_effort: SessionStats::default(),
             cancel,
             fault,
             deadline: None,
@@ -206,7 +201,7 @@ impl<'f> SynthSession<'f> {
     }
 
     /// A clone of the attempt's cancellation token. Cancelling it stops
-    /// the search and verify solvers (cube forks included) and the next
+    /// the search and verify solvers and the next
     /// between-iteration check mid-run.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
@@ -226,7 +221,7 @@ impl<'f> SynthSession<'f> {
     pub fn run_size(&mut self, size: usize, timeout: Duration) -> SynthesisResult {
         let start = Instant::now();
         // Arm the governor: a governed budget enforces the wall clock
-        // *inside* the solvers (and their forks), not just between CEGIS
+        // *inside* the solvers, not just between CEGIS
         // iterations. Ungoverned runs keep the historical
         // between-iteration check only.
         self.deadline = self.cfg.budget.governed.then(|| start + timeout);
@@ -572,17 +567,6 @@ impl<'f> SynthSession<'f> {
         prog_vars: &[TermId],
     ) -> (CheckResult, Option<Interrupt>) {
         match act {
-            Some(a) if self.cfg.intra_loop > 1 => {
-                let (r, effort, interrupt) = crate::cubes::solve_partitioned(
-                    &self.search,
-                    &self.pool,
-                    a,
-                    prog_vars,
-                    self.cfg.intra_loop,
-                );
-                self.cube_effort = self.cube_effort.plus(&effort);
-                (r, interrupt)
-            }
             Some(a) => {
                 let r = self.search.canonical_check(&mut self.pool, &[a], prog_vars);
                 let i = self.search.interrupt();
@@ -646,7 +630,7 @@ impl<'f> SynthSession<'f> {
     pub fn telemetry(&self) -> SolverTelemetry {
         if self.cfg.incremental {
             SolverTelemetry {
-                search: self.search.stats().plus(&self.cube_effort),
+                search: self.search.stats(),
                 verify: self.verify.stats(),
             }
         } else {
@@ -703,35 +687,6 @@ mod tests {
         assert_eq!(
             inc.stats.counterexamples, scratch.stats.counterexamples,
             "same counterexample trajectory"
-        );
-    }
-
-    #[test]
-    fn cube_portfolio_matches_serial_search() {
-        let f = compile_one("char* f(char* s) { while (*s != 0 && *s != ':') s++; return s; }")
-            .unwrap();
-        let serial = SynthSession::new(&f, cfg(true))
-            .unwrap()
-            .run_size(9, Duration::from_secs(120));
-        let cubed = SynthSession::new(
-            &f,
-            SynthesisConfig {
-                intra_loop: 4,
-                ..cfg(true)
-            },
-        )
-        .unwrap()
-        .run_size(9, Duration::from_secs(120));
-        let a = serial.program.expect("serial synthesises");
-        let b = cubed.program.expect("cube portfolio synthesises");
-        assert_eq!(a.encode(), b.encode(), "cubes must not change the answer");
-        assert_eq!(
-            serial.stats.counterexamples, cubed.stats.counterexamples,
-            "same counterexample trajectory"
-        );
-        assert!(
-            cubed.stats.solver.search.queries > serial.stats.solver.search.queries,
-            "cube workers' effort is folded into search telemetry"
         );
     }
 

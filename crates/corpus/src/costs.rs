@@ -1,11 +1,10 @@
 //! The persisted per-loop cost book.
 //!
 //! Every fresh synthesis leaves a [`CostStat`] row keyed by the loop's
-//! [`fingerprint_hash`]: what it cost, how it ended and how it was
-//! executed. Schedulers read the book to dispatch expensive loops first;
-//! the summaries themselves live in the summary store
-//! (`strsum_server::ShardedStore`), which both the daemon and the batch
-//! runner use.
+//! [`fingerprint_hash`]: what it cost and how it ended. Schedulers read
+//! the book to dispatch expensive loops first; the summaries themselves
+//! live in the summary store (`strsum_server::ShardedStore`), which both
+//! the daemon and the batch runner use.
 
 use std::path::Path;
 
@@ -60,50 +59,14 @@ impl RecordedOutcome {
     }
 }
 
-/// Which execution strategy produced a [`CostStat`] row.
-///
-/// Cost observed under cube-and-conquer is not directly comparable to
-/// serial cost (cubes add setup overhead and
-/// change conflict totals), so a reader needs to know how a number was
-/// measured before comparing it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RecordedStrategy {
-    /// One incremental session, no cubes.
-    #[default]
-    Serial,
-    /// Cube-and-conquer over `cube_k` first-byte ranges.
-    Cubed,
-}
-
-impl RecordedStrategy {
-    /// Stable on-disk label.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecordedStrategy::Serial => "serial",
-            RecordedStrategy::Cubed => "cubed",
-        }
-    }
-
-    /// Inverse of [`RecordedStrategy::label`]; unrecognised labels map to
-    /// `Serial` (the strategy is advisory metadata, not a correctness
-    /// input).
-    pub fn parse(s: &str) -> RecordedStrategy {
-        match s {
-            "cubed" => RecordedStrategy::Cubed,
-            _ => RecordedStrategy::Serial,
-        }
-    }
-}
-
 /// Solver cost observed when a loop was last synthesised from scratch.
 ///
 /// Persisted across runs (see [`CostBook`]) so the corpus scheduler can
 /// dispatch expensive loops first — longest-job-first needs last run's
 /// tail, and the fingerprint keys make the record survive loop renames.
-/// Since v2 each row also carries how the run ended and how it was
-/// executed, so a budget-capped wall clock is never mistaken for a true
-/// cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Since v2 each row also carries how the run ended, so a budget-capped
+/// wall clock is never mistaken for a true cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostStat {
     /// Total SAT conflicts spent on the loop (search + verify). Machine
     /// independent, so it orders loops stably across hosts.
@@ -112,24 +75,6 @@ pub struct CostStat {
     pub wall_micros: u64,
     /// How the recording run ended (v2; `Unknown` for v1 rows).
     pub outcome: RecordedOutcome,
-    /// Execution strategy the recording run used (v2; `Serial` for v1
-    /// rows).
-    pub strategy: RecordedStrategy,
-    /// Cube count the recording run used (1 for serial; v1 rows default
-    /// to 1).
-    pub cube_k: u32,
-}
-
-impl Default for CostStat {
-    fn default() -> Self {
-        CostStat {
-            conflicts: 0,
-            wall_micros: 0,
-            outcome: RecordedOutcome::Unknown,
-            strategy: RecordedStrategy::Serial,
-            cube_k: 1,
-        }
-    }
 }
 
 impl CostStat {
@@ -174,17 +119,17 @@ pub fn fingerprint_hash(fingerprint: &[u64]) -> u64 {
 /// are comments: skipped on parse without counting as drops, so a v2
 /// book read by hand (or by a hypothetical v1 parser that tolerates
 /// drops) stays self-describing.
-pub const COST_BOOK_HEADER: &str =
-    "# strsum costs v2: hash\tconflicts\twall_micros\toutcome\tstrategy\tcube_k";
+pub const COST_BOOK_HEADER: &str = "# strsum costs v2: hash\tconflicts\twall_micros\toutcome";
 
 /// Persistent per-loop solver-cost records, keyed by
 /// [`fingerprint_hash`].
 ///
 /// Serialised as sorted tab-separated lines (v2: `hash<TAB>conflicts
-/// <TAB>wall_micros<TAB>outcome<TAB>strategy<TAB>cube_k`, preceded by a
-/// `#`-prefixed header) so the on-disk book is deterministic, diffable,
-/// and mergeable by hand. Parsing is tolerant: v1 three-field rows are
-/// still accepted (outcome/strategy default to `Unknown`/`Serial`), and
+/// <TAB>wall_micros<TAB>outcome`, preceded by a `#`-prefixed header) so
+/// the on-disk book is deterministic, diffable, and mergeable by hand.
+/// Parsing is tolerant: v1 three-field rows are still accepted (the
+/// outcome defaults to `Unknown`), columns past the fourth are ignored
+/// (books written while cube-and-conquer existed carry two), and
 /// unreadable lines are skipped, because the book is a performance hint,
 /// never a correctness input — a missing or stale record only changes
 /// dispatch order, and results are slotted by original index regardless
@@ -234,22 +179,12 @@ impl CostBook {
             let outcome = parts
                 .next()
                 .map_or(RecordedOutcome::Unknown, RecordedOutcome::parse);
-            let strategy = parts
-                .next()
-                .map_or(RecordedStrategy::Serial, RecordedStrategy::parse);
-            let cube_k = parts
-                .next()
-                .and_then(|s| s.parse::<u32>().ok())
-                .unwrap_or(1)
-                .max(1);
             entries.insert(
                 k,
                 CostStat {
                     conflicts,
                     wall_micros,
                     outcome,
-                    strategy,
-                    cube_k,
                 },
             );
         }
@@ -274,19 +209,16 @@ impl CostBook {
     }
 
     /// The on-disk text form: the v2 header, then one sorted `hash<TAB>
-    /// conflicts<TAB>wall_micros<TAB>outcome<TAB>strategy<TAB>cube_k`
-    /// line per loop.
+    /// conflicts<TAB>wall_micros<TAB>outcome` line per loop.
     pub fn dump(&self) -> String {
         let mut out = String::from(COST_BOOK_HEADER);
         out.push('\n');
         for (k, s) in &self.entries {
             out.push_str(&format!(
-                "{k}\t{}\t{}\t{}\t{}\t{}\n",
+                "{k}\t{}\t{}\t{}\n",
                 s.conflicts,
                 s.wall_micros,
                 s.outcome.label(),
-                s.strategy.label(),
-                s.cube_k
             ));
         }
         out
@@ -363,8 +295,6 @@ mod tests {
                 conflicts: 900,
                 wall_micros: 1_500_000,
                 outcome: RecordedOutcome::BudgetExhausted,
-                strategy: RecordedStrategy::Cubed,
-                cube_k: 4,
             },
         );
         book.record(
@@ -373,8 +303,6 @@ mod tests {
                 conflicts: 10,
                 wall_micros: 2_000,
                 outcome: RecordedOutcome::Summarized,
-                strategy: RecordedStrategy::Serial,
-                cube_k: 1,
             },
         );
         let text = book.dump();
@@ -382,8 +310,8 @@ mod tests {
             text,
             format!(
                 "{COST_BOOK_HEADER}\n\
-                 7\t10\t2000\tsummarized\tserial\t1\n\
-                 42\t900\t1500000\tbudget_exhausted\tcubed\t4\n"
+                 7\t10\t2000\tsummarized\n\
+                 42\t900\t1500000\tbudget_exhausted\n"
             )
         );
         let back = CostBook::parse(&text);
@@ -395,14 +323,41 @@ mod tests {
                 conflicts: 900,
                 wall_micros: 1_500_000,
                 outcome: RecordedOutcome::BudgetExhausted,
-                strategy: RecordedStrategy::Cubed,
-                cube_k: 4,
             })
         );
         assert!(back.get(42).unwrap().capped());
         assert!(!back.get(42).unwrap().trusted());
         assert!(back.get(7).unwrap().trusted());
         assert_eq!(back.get(1), None);
+    }
+
+    /// Books written while cube-and-conquer and portfolio racing existed
+    /// carry two more columns naming them; those rows parse to the same
+    /// conflicts, wall and outcome as a four-column row.
+    #[test]
+    fn cost_book_ignores_retired_strategy_columns() {
+        let book = CostBook::parse(
+            "# strsum costs v2: hash\tconflicts\twall_micros\toutcome\tstrategy\tcube_k\n\
+             7\t10\t2000\tsummarized\tcubed\t4\n\
+             42\t900\t1500000\tbudget_exhausted\tportfolio\t4\n",
+        );
+        assert_eq!(book.dropped(), 0);
+        assert_eq!(
+            book.get(7),
+            Some(CostStat {
+                conflicts: 10,
+                wall_micros: 2_000,
+                outcome: RecordedOutcome::Summarized,
+            })
+        );
+        assert_eq!(
+            book.get(42),
+            Some(CostStat {
+                conflicts: 900,
+                wall_micros: 1_500_000,
+                outcome: RecordedOutcome::BudgetExhausted,
+            })
+        );
     }
 
     #[test]
@@ -414,8 +369,6 @@ mod tests {
         let s = book.get(42).unwrap();
         assert_eq!((s.conflicts, s.wall_micros), (900, 1_500_000));
         assert_eq!(s.outcome, RecordedOutcome::Unknown);
-        assert_eq!(s.strategy, RecordedStrategy::Serial);
-        assert_eq!(s.cube_k, 1);
         // Unknown provenance: not capped, but not trusted for training.
         assert!(!s.capped());
         assert!(!s.trusted());
@@ -503,16 +456,7 @@ mod tests {
         ] {
             assert_eq!(RecordedOutcome::parse(o.label()), o);
         }
-        for s in [RecordedStrategy::Serial, RecordedStrategy::Cubed] {
-            assert_eq!(RecordedStrategy::parse(s.label()), s);
-        }
         assert_eq!(RecordedOutcome::parse("wat"), RecordedOutcome::Unknown);
-        assert_eq!(RecordedStrategy::parse("wat"), RecordedStrategy::Serial);
-        // Rows from books written while portfolio racing existed.
-        assert_eq!(
-            RecordedStrategy::parse("portfolio"),
-            RecordedStrategy::Serial
-        );
     }
 
     #[test]

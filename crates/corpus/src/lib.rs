@@ -23,9 +23,7 @@ pub mod manual;
 pub mod plan;
 pub mod population;
 
-pub use costs::{
-    fingerprint_hash, CostBook, CostStat, RecordedOutcome, RecordedStrategy, COST_BOOK_HEADER,
-};
+pub use costs::{fingerprint_hash, CostBook, CostStat, RecordedOutcome, COST_BOOK_HEADER};
 pub use db::{corpus, stateful_corpus, App, LoopEntry, APPS};
 pub use filter::{filter_report, passes_automatic_filters, FilterStage};
 pub use manual::{manual_category, ManualCategory};

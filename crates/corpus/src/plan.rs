@@ -2,12 +2,10 @@
 //! scheduler: longest-job-first dispatch from the persisted [`CostBook`],
 //! the strategy tallies a run reports, and the fast-lane cutoff.
 //!
-//! The cost book is the only source of cost estimates. A loop runs the
-//! strategy its request names — serial, or cube-and-conquer at a fixed
-//! `k` — and the book only decides *when* it runs: expensive loops
-//! dispatch first so the tail job never starts on the last free worker.
-//! Every strategy produces byte-identical summaries (cubes by the
-//! deterministic-merge theorem in `strsum_core::cubes`), so ordering
+//! The cost book is the only source of cost estimates. Every loop runs
+//! the one serial candidate search, and the book only decides *when* it
+//! runs: expensive loops dispatch first so the tail job never starts on
+//! the last free worker. Synthesis never reads the order, so ordering
 //! changes wall clock and nothing else.
 
 use crate::costs::CostBook;
@@ -18,7 +16,8 @@ use strsum_obs::ToJson;
 pub struct PlanCounts {
     /// Loops run serial.
     pub serial: usize,
-    /// Loops run cubed.
+    /// Always 0: cube-and-conquer is gone. Kept, and still reported,
+    /// only because the `profile` benchmark reads the field.
     pub cubed: usize,
     /// Always 0: the portfolio tier is gone. Kept, and still reported,
     /// only because the `profile` benchmark reads the field.
@@ -117,7 +116,6 @@ mod tests {
                 conflicts,
                 wall_micros,
                 outcome: RecordedOutcome::Summarized,
-                ..CostStat::default()
             }
         }
 
@@ -126,7 +124,6 @@ mod tests {
                 conflicts,
                 wall_micros,
                 outcome: RecordedOutcome::BudgetExhausted,
-                ..CostStat::default()
             }
         }
 
@@ -197,7 +194,6 @@ mod tests {
                     conflicts: 9,
                     wall_micros: 9_000,
                     outcome: RecordedOutcome::Unknown,
-                    ..CostStat::default()
                 },
             );
             book.record(51, cost(1, 10));

@@ -12,12 +12,10 @@
 //!    code without distorting the benchmarks it exists to explain.
 //! 2. **Thread-safe.** The sink is global (installed once per process) and
 //!    [`Sink::record`] takes `&self`; the bench harness records from all
-//!    `par_map` workers concurrently, and the parallel candidate search
-//!    from every cube worker (`cegis.cubes`/`cegis.cube` spans,
-//!    `cube.sat`/`cube.unsat`/`cube.unknown` counters, and the scheduler's
-//!    `sched.ljf` span). Each thread gets a small stable `tid` (allocation
-//!    order), so a multi-threaded run reconstructs into a per-worker
-//!    timeline in `chrome://tracing`.
+//!    `par_map` workers and the daemon's scheduler workers concurrently.
+//!    Each thread gets a small stable `tid` (allocation order), so a
+//!    multi-threaded run reconstructs into a per-worker timeline in
+//!    `chrome://tracing`.
 //! 3. **Deterministic aggregation.** Raw span timestamps necessarily vary
 //!    between runs, but [`Aggregate`] merges events by *span key*
 //!    (`(name, tag)`) into sorted rows whose counts and argument sums are

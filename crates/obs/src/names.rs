@@ -31,8 +31,6 @@ pub const COSTBOOK_DROPPED: &str = "costbook.dropped";
 
 /// One loop of a batch run ran serial.
 pub const PLAN_SERIAL: &str = "plan.serial";
-/// One loop of a batch run ran cubed.
-pub const PLAN_CUBED: &str = "plan.cubed";
 
 /// Corrupt/truncated append-log lines dropped by one summary-store open.
 pub const STORE_DROPPED: &str = "store.dropped";
@@ -60,8 +58,6 @@ pub const SCHED_ADMITTED: &str = "sched.admitted";
 pub const SCHED_FAST_LANE: &str = "sched.fast_lane";
 /// One request dispatched from the cost-ordered synthesis heap.
 pub const SCHED_HEAP: &str = "sched.heap";
-/// One heap synthesis ran cubed because its request asked for it.
-pub const SCHED_CUBED: &str = "sched.cubed";
 /// One admission cost prediction came from a persisted `CostBook` row.
 pub const SCHED_PREDICTED_BOOK: &str = "sched.predicted.book";
 /// One idle connection was closed by the per-connection read timeout.

@@ -33,8 +33,8 @@ const USAGE: &str = "usage: strsum-server [--store DIR] [--shards N] [--workers 
 Serves the strsum wire protocol (one JSON frame per line) on
 stdin/stdout, or on a Unix socket when --socket is given. Syntheses
 queue longest-job-first by the cost book in DIR/costs.tsv; each runs
-serial unless its request's plan asks for cubes (capped at the host's
-core count).
+the serial candidate search on one worker. A v1 request's `plan`
+object is checked and then ignored.
 
   --store DIR      summary store directory (default: results/store)
   --shards N       shard count for a fresh store (default: 8)
@@ -154,16 +154,17 @@ fn main() -> ExitCode {
         eprintln!("strsum-server: drain failed: {e}");
         return ExitCode::FAILURE;
     }
+    // `cubed` is always 0: no synthesis runs cube-and-conquer any more,
+    // but the `profile` benchmark still parses the field.
     eprintln!(
         "strsum-server: drained; hits {} misses {} reverified {} rejected {}; \
-         fast-lane {} heap {} cubed {}; verdicts {}",
+         fast-lane {} heap {} cubed 0; verdicts {}",
         stats.store_hits,
         stats.store_misses,
         stats.reverified,
         stats.rejected,
         sched.fast_lane,
         sched.heap,
-        sched.cubed,
         stats.verdict_hits,
     );
     ExitCode::SUCCESS

@@ -46,13 +46,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use strsum_api::{parse_outcome, Origin, PlanMode, SourceSpec, SummaryRequest, SummaryResponse};
+use strsum_api::{parse_outcome, Origin, SourceSpec, SummaryRequest, SummaryResponse};
 use strsum_core::{
     loop_fingerprint, summarize_loop, verify_summary, BudgetKind, LoopOutcome, SolverTelemetry,
     SummarizeResult, Summary, SynthStats, SynthesisConfig,
 };
-use strsum_corpus::plan::detected_cores;
-use strsum_corpus::{fingerprint_hash, CostBook, CostStat, RecordedOutcome, RecordedStrategy};
+use strsum_corpus::{fingerprint_hash, CostBook, CostStat, RecordedOutcome};
 use strsum_obs::names;
 use strsum_smt::SessionStats;
 
@@ -313,7 +312,7 @@ impl Engine {
     }
 
     /// The effective synthesis config for one request: base defaults
-    /// with the request's budget, flags, and plan folded in.
+    /// with the request's budget and flags folded in.
     fn request_cfg(&self, req: &SummaryRequest) -> SynthesisConfig {
         let mut cfg = self.base.clone();
         if let Some(budget) = req.budget {
@@ -321,23 +320,13 @@ impl Engine {
         }
         cfg.screen = req.flags.screen;
         cfg.theory_fast_path = req.flags.theory_fast_path;
-        if let Some(plan) = req.plan {
-            // Serial and cubed run as asked, with the cube width capped
-            // at the host's cores: it is client input, and the cube
-            // merge theorem keeps the bytes identical at any width.
-            cfg.intra_loop = match plan.mode {
-                PlanMode::Cubed(k) => k.min(detected_cores()),
-                PlanMode::Serial => 1,
-            };
-        }
         cfg
     }
 
     /// Runs one request through the full lifecycle and produces its
-    /// response — [`Engine::prepare`] and [`Engine::finish`] composed,
-    /// at the request's own cube width. This is the reference path; the
-    /// scheduler produces byte-identical responses because it runs
-    /// exactly these two halves.
+    /// response — [`Engine::prepare`] and [`Engine::finish`] composed.
+    /// This is the reference path; the scheduler produces byte-identical
+    /// responses because it runs exactly these two halves.
     pub fn handle(&self, req: &SummaryRequest) -> SummaryResponse {
         let start = Instant::now();
         let mut span = strsum_obs::span("serve.request", "server");
@@ -415,11 +404,14 @@ impl Engine {
     /// [`Engine::resolve`] plus the response fields. Response
     /// `cost.wall_micros` is service time (preparation plus this call),
     /// never queue wait.
-    pub fn finish(&self, task: PreparedTask, granted_cubes: usize) -> SummaryResponse {
+    ///
+    /// The second argument is ignored. It once granted a cube width and
+    /// stays only because the `profile` benchmark calls `finish(task, 1)`.
+    pub fn finish(&self, task: PreparedTask, _unused: usize) -> SummaryResponse {
         let start = Instant::now();
         let prep_micros = task.prep_micros;
         let id = task.req.id.clone();
-        let r = self.resolve(task, granted_cubes);
+        let r = self.resolve(task);
         let mut resp = SummaryResponse::new(id, r.outcome);
         if resp.outcome == LoopOutcome::CacheHit {
             resp.origin = Origin::Store;
@@ -444,22 +436,16 @@ impl Engine {
 
     /// The back half of the lifecycle: store lookup with mandatory
     /// re-verification, fresh synthesis on miss, publish, and cost
-    /// recording. `granted_cubes` raises the request's own `intra_loop`
-    /// when larger (the batch runner passes its plan's cube count; the
-    /// cube merge theorem keeps the bytes identical at any k); 1 grants
-    /// nothing.
-    pub fn resolve(&self, task: PreparedTask, granted_cubes: usize) -> Resolution {
+    /// recording.
+    pub fn resolve(&self, task: PreparedTask) -> Resolution {
         let PreparedTask {
             req,
             func,
             fp,
             key,
-            mut cfg,
+            cfg,
             ..
         } = task;
-        if granted_cubes > cfg.intra_loop {
-            cfg.intra_loop = granted_cubes;
-        }
 
         // 4. Store lookup by semantic fingerprint; every hit re-verifies
         //    against *this* loop before serving (fingerprint match is
@@ -525,19 +511,12 @@ impl Engine {
         let outcome = classify(&stats, summary.is_some());
         // 6. Record the observed cost. Store hits and crashes never get
         //    here, so they never enter the book.
-        let cube_k = cfg.intra_loop.max(1);
         self.record_cost(
             key,
             CostStat {
                 conflicts: stats.solver.total().conflicts,
                 wall_micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
                 outcome: recorded_outcome(&outcome),
-                strategy: if cube_k > 1 {
-                    RecordedStrategy::Cubed
-                } else {
-                    RecordedStrategy::Serial
-                },
-                cube_k: cube_k.min(u32::MAX as usize) as u32,
             },
         );
         // 7. Publish. Verified fresh summaries — gadget programs and
@@ -915,26 +894,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The pipeline halves compose to the same bytes as `handle`, and a
-    /// scheduler-granted cube count changes nothing but wall clock (the
-    /// cube merge theorem, exercised through the daemon's entry point).
-    #[test]
-    fn finish_with_granted_cubes_is_byte_identical() {
-        let dir = tmp_dir("cubes");
-        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-        let mut req = SummaryRequest::c("k", SKIP_SPACES);
-        req.flags.store = false; // no cross-request store effects
-        let serial = engine.handle(&req);
-        let cubed = match engine.prepare(req.clone()) {
-            Prepared::Task(task) => engine.finish(task, 4),
-            Prepared::Done(r) => panic!("unexpected refusal: {:?}", r.failure),
-        };
-        assert_eq!(cubed.outcome, serial.outcome);
-        assert_eq!(cubed.summary, serial.summary, "bytes identical at any k");
-        assert_eq!(cubed.failure, serial.failure);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Fresh syntheses land in the live book and the saved book;
     /// a reopened engine estimates from the persisted row (satellite:
     /// served traffic trains the planner across daemon runs).
@@ -968,33 +927,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A client's cube width is capped at the host's cores: a 256-cube
-    /// request answers with the serial request's bytes and is recorded
-    /// at no more than `detected_cores()` cubes.
+    /// A v1 request naming the retired `cubed` mode, at any cube count,
+    /// decodes to the plan-less request: the same verdict key, and the
+    /// same response bytes (wall clock aside) through the pipeline
+    /// halves, whatever `finish`'s ignored argument, as through
+    /// `handle`.
     #[test]
-    fn requested_cube_width_is_capped_at_detected_cores() {
-        let dir = tmp_dir("cubecap");
+    fn cubed_request_answers_as_serial() {
+        let dir = tmp_dir("cubed");
         let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-        let mut req = SummaryRequest::c("serial", SKIP_SPACES);
-        req.flags.store = false; // no cross-request store effects
-        let serial = engine.handle(&req);
-        req.id = "wide".to_string();
-        req.plan = Some(strsum_api::PlanSpec::cubed(256));
-        let task = match engine.prepare(req.clone()) {
-            Prepared::Task(task) => task,
+        let frame = format!(
+            "{{\"v\":1,\"type\":\"summary\",\"id\":\"k\",\"source\":{:?},\
+             \"plan\":{{\"mode\":\"cubed\",\"cubes\":256,\"cost_order\":true}},\
+             \"flags\":{{\"store\":false,\"screen\":true,\"theory_fast_path\":true}}}}",
+            SKIP_SPACES
+        );
+        let cubed = match strsum_api::decode_frame(&frame).unwrap() {
+            strsum_api::Frame::Summary(req) => req,
+            other => panic!("wrong frame: {other:?}"),
+        };
+        let mut serial = SummaryRequest::c("k", SKIP_SPACES);
+        serial.flags.store = false; // no cross-request store effects
+        assert_eq!(cubed, serial, "the cubed(256) plan decodes away");
+        let func = strsum_cfront::compile_one(SKIP_SPACES).unwrap();
+        assert_eq!(
+            verdict_key(&func, &engine.request_cfg(&cubed)),
+            verdict_key(&func, &engine.request_cfg(&serial)),
+            "one verdict key"
+        );
+        let bytes = |mut resp: SummaryResponse| {
+            resp.cost.wall_micros = 0;
+            strsum_api::encode_frame(&strsum_api::Frame::Response(resp))
+        };
+        let halves = match engine.prepare(cubed) {
+            Prepared::Task(task) => engine.finish(task, 256),
             Prepared::Done(r) => panic!("unexpected refusal: {:?}", r.failure),
         };
-        let key = task.key();
-        let wide = engine.finish(task, 1);
-        assert_eq!(wide.outcome, serial.outcome);
-        assert_eq!(wide.summary, serial.summary, "bytes identical at any k");
-        let row = engine.booked(key).expect("the synthesis was recorded");
-        assert!(
-            row.cube_k as usize <= detected_cores(),
-            "cube_k {} exceeds {} cores",
-            row.cube_k,
-            detected_cores()
-        );
+        assert_eq!(bytes(halves), bytes(engine.handle(&serial)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1091,7 +1060,7 @@ mod tests {
             Prepared::Done(r) => panic!("unexpected refusal: {:?}", r.failure),
         };
         task.config_mut().forced_unknown_at = Some(1);
-        let faulted = engine.resolve(task, 1);
+        let faulted = engine.resolve(task);
         assert_eq!(
             faulted.outcome, CAPPED,
             "an injected Unknown reads as the cap"
@@ -1178,10 +1147,6 @@ mod tests {
         let key = verdict_key(&func, &base);
         assert_eq!(key, verdict_key(&func, &base.clone()), "stable");
         let variants = [
-            SynthesisConfig {
-                intra_loop: 2,
-                ..base.clone()
-            },
             SynthesisConfig {
                 screen: !base.screen,
                 ..base.clone()

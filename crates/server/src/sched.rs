@@ -23,8 +23,8 @@
 //!   sort after everything. LJF minimises makespan when costs are
 //!   roughly known; admission order breaks ties so no request starves.
 //!
-//! Every synthesis runs at the cube width its request asked for (serial
-//! unless the plan says `cubed`); the scheduler grants no extra cores.
+//! Every synthesis runs the one serial candidate search on the worker
+//! that pops it; the scheduler grants no extra cores.
 //!
 //! Determinism: scheduling changes *when* work runs, never what it
 //! computes, and responses are slotted by admission index. The
@@ -104,8 +104,6 @@ pub struct SchedStats {
     pub fast_lane: u64,
     /// Requests finished from the cost-ordered heap.
     pub heap: u64,
-    /// Heap syntheses that ran cubed because their request asked for it.
-    pub cubed: u64,
     /// Admission estimates served by a cost-book row.
     pub predicted_book: u64,
 }
@@ -113,8 +111,8 @@ pub struct SchedStats {
 impl strsum_obs::ToJson for SchedStats {
     fn to_json(&self) -> String {
         format!(
-            "{{\"admitted\":{},\"fast_lane\":{},\"heap\":{},\"cubed\":{},\"predicted_book\":{}}}",
-            self.admitted, self.fast_lane, self.heap, self.cubed, self.predicted_book
+            "{{\"admitted\":{},\"fast_lane\":{},\"heap\":{},\"predicted_book\":{}}}",
+            self.admitted, self.fast_lane, self.heap, self.predicted_book
         )
     }
 }
@@ -189,7 +187,6 @@ struct Shared {
     admitted: AtomicU64,
     fast_lane: AtomicU64,
     heap_pops: AtomicU64,
-    cubed: AtomicU64,
     predicted_book: AtomicU64,
 }
 
@@ -217,7 +214,6 @@ impl Scheduler {
             admitted: AtomicU64::new(0),
             fast_lane: AtomicU64::new(0),
             heap_pops: AtomicU64::new(0),
-            cubed: AtomicU64::new(0),
             predicted_book: AtomicU64::new(0),
         });
         let workers = (0..opts.workers.max(1))
@@ -272,7 +268,6 @@ impl Scheduler {
             admitted: s.admitted.load(Ordering::Relaxed),
             fast_lane: s.fast_lane.load(Ordering::Relaxed),
             heap: s.heap_pops.load(Ordering::Relaxed),
-            cubed: s.cubed.load(Ordering::Relaxed),
             predicted_book: s.predicted_book.load(Ordering::Relaxed),
         }
     }
@@ -370,14 +365,10 @@ fn run_raw(shared: &Shared, job: Job) {
     }
 }
 
-/// Finishes one heap task at the cube width its request asked for.
+/// Finishes one heap task.
 fn run_heavy(shared: &Shared, item: HeapItem) {
     shared.heap_pops.fetch_add(1, Ordering::Relaxed);
     strsum_obs::counter(names::SCHED_HEAP, "server", 1);
-    if item.task.cfg.intra_loop > 1 {
-        shared.cubed.fetch_add(1, Ordering::Relaxed);
-        strsum_obs::counter(names::SCHED_CUBED, "server", 1);
-    }
     let resp = shared.engine.finish(*item.task, 1);
     complete(shared, &item.reply, item.index, resp);
 }

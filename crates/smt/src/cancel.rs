@@ -9,8 +9,8 @@
 //!
 //! * [`CancelToken`] — a cheap, clonable, thread-safe cancellation flag.
 //!   Clones share one flag, so a token handed to a session is inherited by
-//!   every fork (cube workers included): one `cancel()` stops the whole
-//!   portfolio. The solver polls it on a conflict-count stride, so the
+//!   every fork: one `cancel()` stops them all. The solver polls it on a
+//!   conflict-count stride, so the
 //!   steady-state cost is one relaxed atomic load every few conflicts.
 //! * [`Interrupt`] — the reason the last `solve` gave up, retained by the
 //!   solver so budget-exhaustion sites can report which limit tripped

@@ -234,8 +234,9 @@ impl VarHeap {
 /// `Clone` copies the complete solver state — clause database (learnt
 /// clauses included), trail, activities, saved phases and counters — so a
 /// clone continues exactly where the original stands while the two evolve
-/// independently afterwards. Cube-and-conquer search relies on this to hand
-/// each worker its own solver seeded with the shared constraints.
+/// independently afterwards. Symbolic execution relies on this to give
+/// each forked path its own incremental solver seeded with the shared
+/// path condition.
 #[derive(Debug, Default, Clone)]
 pub struct Solver {
     arena: Vec<u32>, // clauses as [len, lit0, lit1, …]; see the module docs

