@@ -2,9 +2,10 @@
 //!
 //! Only the batch runner reads a plan. The wire still accepts the `plan`
 //! object v1 requests carry, checks its mode with [`PlanSpec::parse`],
-//! and drops it: the daemon orders its own queue. This module is pure
-//! data: the longest-job-first ordering over the cost book lives in
-//! `strsum-corpus::plan`.
+//! and drops it: the daemon queues syntheses by priority and admission
+//! order and reads no cost book. This module is pure data: the
+//! longest-job-first ordering over the cost book lives in
+//! `strsum-corpus::plan`, and the batch runner is its only user.
 
 /// The planning policy of one run: whether dispatch is cost-ordered
 /// (longest-job-first from the book) or corpus-ordered. Every synthesis

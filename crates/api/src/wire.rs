@@ -81,12 +81,13 @@ pub enum Priority {
     /// keystroke) that would rather wait on their own synthesis than on
     /// someone else's.
     Interactive,
-    /// Cost-ordered with everything else (the default).
+    /// Fast lane on a store hit, otherwise queued in admission order
+    /// (the default).
     #[default]
     Normal,
-    /// Never takes the fast lane, even when predicted cheap — for
-    /// best-effort backfill (a corpus pre-warmer) that must not push
-    /// interactive traffic's p50 around.
+    /// Never takes the fast lane, and queues behind every normal
+    /// request — for best-effort backfill (a corpus pre-warmer) that
+    /// must not push interactive traffic's p50 around.
     Bulk,
 }
 

@@ -36,7 +36,8 @@
 //! full slice then replayed by concurrent clients with warm and cold
 //! requests interleaved) is served twice over identical stores — once
 //! under the FIFO fixed pool (PR 8 behaviour, `SchedOptions::fixed`)
-//! and once under the cost-ordered scheduler. Both runs must stay
+//! and once under the scheduler (fast lane for store hits, syntheses
+//! queued in admission order). Both runs must stay
 //! byte-identical to the batch reference and pass the soundness gate;
 //! the scheduler must not lose throughput against the fixed pool (a
 //! hard gate on multi-core hosts, informational on one core, with a
@@ -550,8 +551,8 @@ fn main() -> ExitCode {
         ("scheduled", SchedOptions::scheduled(threads)),
     ] {
         let store = scratch.join(format!("store-{name}"));
-        // Pre-warm: populate the store (and the cost book) with the
-        // warm half, then measure a fresh daemon over it.
+        // Pre-warm: populate the store with the warm half, then
+        // measure a fresh daemon over it.
         daemon_phase(&store, &socket, &cfg, opts, &prewarm);
         let (responses, stats, sched, secs) =
             daemon_phase(&store, &socket, &cfg, opts, &mixed_batches);

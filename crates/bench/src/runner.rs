@@ -25,6 +25,10 @@
 //! 4. **retry** — the quarantine lane re-runs budget-exhausted loops
 //!    with an escalated budget, bypassing the store.
 //!
+//! The runner keeps the cost book: phase 3 turns each fresh synthesis
+//! into a [`CostStat`] row, and a run with [`CorpusRunner::persist_costs`]
+//! merges those rows into `results/costs.tsv`.
+//!
 //! Determinism contract: every parallel phase is an order-preserving
 //! [`crate::par_map`] (or a [`crate::par_map_ordered`] whose output is
 //! still slotted by original index), and the store traffic of a
@@ -46,7 +50,7 @@ use strsum_core::{
     SynthesisConfig,
 };
 use strsum_corpus::plan::{ljf_order, PlanCounts};
-use strsum_corpus::{App, CostBook, LoopEntry};
+use strsum_corpus::{App, CostBook, CostStat, LoopEntry, RecordedOutcome};
 use strsum_gadgets::Program;
 use strsum_obs::{names, Aggregate, Collector, ToJson};
 use strsum_server::{Engine, Prepared, PreparedTask, Resolution};
@@ -285,6 +289,10 @@ struct Executed {
     cache: CacheStats,
     retries: RetryStats,
     plan: PlanCounts,
+    /// The main lane's cost rows, one per fresh synthesis. The retry
+    /// lane runs under an escalated budget the next run's plan knows
+    /// nothing about, so it adds none.
+    costs: CostBook,
 }
 
 impl CorpusRunner {
@@ -383,6 +391,7 @@ impl CorpusRunner {
                 cache: CacheStats::default(),
                 retries: RetryStats::default(),
                 plan: PlanCounts::default(),
+                costs: CostBook::new(),
             });
         }
         println!("(no summary cache; synthesising the corpus first — this takes a while)");
@@ -472,13 +481,14 @@ impl CorpusRunner {
         let mut order: Vec<usize> = (0..groups.len()).collect();
         order.sort_by_key(|&g| rank[groups[g][0]]);
         let slots: Vec<Mutex<Option<PreparedTask>>> = tasks.into_iter().map(Mutex::new).collect();
+        let costs = Mutex::new(CostBook::new());
         let resolved = par_map_ordered(&groups, self.threads, &order, |group| {
             // A member's panic is isolated to its own slot, so the rest
             // of its group still resolves.
             let resolve_member = |i: usize| {
                 let task = slots[i].lock().expect("task slot").take();
                 let task = task.expect("each task resolves once");
-                self.resolve(&engine, &entries[i], task)
+                self.resolve(&engine, &entries[i], task, &costs)
             };
             group
                 .iter()
@@ -505,11 +515,6 @@ impl CorpusRunner {
         } else {
             CacheStats::default()
         };
-        // The main lane's costs only: the retry lane runs under an
-        // escalated budget the next run's plan knows nothing about.
-        if self.persist_costs && self.plan.cost_order {
-            let _ = engine.merge_costs_into(&results_dir().join("costs.tsv"));
-        }
 
         // Phase 4: the quarantine lane.
         let retries = self.retry_lane(&engine, entries, &mut results);
@@ -518,6 +523,7 @@ impl CorpusRunner {
             cache,
             retries,
             plan,
+            costs: costs.into_inner().expect("cost rows"),
         }
     }
 
@@ -525,7 +531,15 @@ impl CorpusRunner {
     /// a planned panic unwinds right here, inside the dispatching
     /// `par_map` worker; a forced `Unknown` or an expired deadline doctors
     /// the task's config so the ordinary budget machinery classifies it.
-    fn resolve(&self, engine: &Engine, entry: &LoopEntry, mut task: PreparedTask) -> LoopSynth {
+    /// A fresh synthesis leaves its cost row in `costs`; a served store
+    /// hit leaves none.
+    fn resolve(
+        &self,
+        engine: &Engine,
+        entry: &LoopEntry,
+        mut task: PreparedTask,
+        costs: &Mutex<CostBook>,
+    ) -> LoopSynth {
         if let Some(fault) = self.fault_plan.fault_for(&entry.id) {
             strsum_obs::counter(names::FAULT_INJECTED, "corpus", 1);
             let cfg = task.config_mut();
@@ -535,7 +549,12 @@ impl CorpusRunner {
                 Fault::DeadlineExpiry => cfg.budget.wall = Duration::ZERO,
             }
         }
-        resolved(entry, engine.resolve(task))
+        let key = task.key();
+        let r = engine.resolve(task);
+        if r.outcome != LoopOutcome::CacheHit {
+            costs.lock().expect("cost rows").record(key, cost_row(&r));
+        }
+        resolved(entry, r)
     }
 
     /// The quarantine lane: loops whose main-lane outcome was a budget
@@ -593,7 +612,11 @@ impl CorpusRunner {
             cache,
             retries,
             plan,
+            costs,
         } = run;
+        if self.persist_costs && self.plan.cost_order {
+            let _ = merge_costs_into(&costs, &results_dir().join("costs.tsv"));
+        }
         let mut outcomes = OutcomeCounts::default();
         let mut kinds = KindCounts::default();
         for r in &results {
@@ -678,6 +701,41 @@ fn resolve_loop_specs(specs: &[LoopSpec]) -> Vec<LoopEntry> {
             }
         })
         .collect()
+}
+
+/// The cost row of a fresh synthesis: the synthesis's own conflicts and
+/// wall clock (a rejected store hit's re-verification is not part of
+/// it) and how it ended.
+fn cost_row(r: &Resolution) -> CostStat {
+    CostStat {
+        conflicts: r.stats.solver.total().conflicts,
+        wall_micros: u64::try_from(r.elapsed.as_micros()).unwrap_or(u64::MAX),
+        outcome: recorded_outcome(&r.outcome),
+    }
+}
+
+/// The cost book's outcome tag for a fresh synthesis's outcome. Hits and
+/// crashes are never recorded, so they have no tag of their own.
+fn recorded_outcome(outcome: &LoopOutcome) -> RecordedOutcome {
+    match outcome {
+        LoopOutcome::Summarized => RecordedOutcome::Summarized,
+        LoopOutcome::NotMemoryless => RecordedOutcome::NotMemoryless,
+        LoopOutcome::BudgetExhausted(_) => RecordedOutcome::BudgetExhausted,
+        LoopOutcome::Degraded => RecordedOutcome::Degraded,
+        LoopOutcome::CacheHit | LoopOutcome::Crashed(_) => RecordedOutcome::Unknown,
+    }
+}
+
+/// Merges a run's cost rows into the book at `path` — load at save
+/// time, merge, atomic rename — so concurrent writers never lose each
+/// other's rows. No-op when the run recorded nothing.
+fn merge_costs_into(fresh: &CostBook, path: &std::path::Path) -> std::io::Result<()> {
+    if fresh.is_empty() {
+        return Ok(());
+    }
+    let mut disk = CostBook::load(path);
+    disk.merge(fresh);
+    disk.save(path)
 }
 
 /// The [`LoopSynth`] for a resolved loop. A rejected store hit's wasted
@@ -842,6 +900,87 @@ mod tests {
         assert!(report.results.is_empty());
         // The runner itself is untouched: `serve` clones per request.
         assert!(!runner.cache);
+    }
+
+    /// Phase 3 leaves one cost row per main-lane fresh synthesis, tagged
+    /// with that synthesis's outcome; a served store hit, a refusal and
+    /// a retry round leave none. (A memo answer, like a refusal,
+    /// resolves while its loop is prepared and never reaches phase 3.)
+    /// Persisting merges the rows into the book at a scratch path.
+    #[test]
+    fn main_lane_fresh_syntheses_leave_one_cost_row_each() {
+        const SKIP: &str = "char* loopFunction(char* s) { while (*s == ' ') s++; return s; }";
+        const UNTIL_NUL: &str = "char* loopFunction(char* s) { while (*s) s++; return s; }";
+        let entry = |id: &str, source: &str| LoopEntry {
+            id: id.to_string(),
+            app: App::External,
+            description: String::new(),
+            source: source.to_string(),
+        };
+        let entries = [
+            entry("fresh", SKIP),
+            entry("hit", SKIP),
+            entry("refused", "not c at all"),
+            entry("retried", UNTIL_NUL),
+        ];
+        let mut faults = FaultPlan::new();
+        faults.inject("retried", Fault::UnknownAtQuery(1));
+        let mut runner = CorpusRunner::new(PlanSpec::serial()).fault_plan(faults);
+        runner.cache = true;
+        runner.threads = 1;
+        runner.cfg.budget.retries = 1;
+        let run = runner.execute(&entries);
+        let outcomes: Vec<&LoopOutcome> = run.results.iter().map(|r| &r.outcome).collect();
+        assert_eq!(
+            outcomes,
+            [
+                &LoopOutcome::Summarized,
+                &LoopOutcome::CacheHit,
+                &LoopOutcome::NotMemoryless,
+                &LoopOutcome::Summarized,
+            ]
+        );
+        assert_eq!(run.retries.recovered, 1, "the retry round summarised");
+
+        let key = |source: &str| {
+            let func = strsum_cfront::compile_one(source).unwrap();
+            strsum_corpus::fingerprint_hash(&strsum_core::loop_fingerprint(
+                &func,
+                runner.cfg.max_ex_size,
+            ))
+        };
+        assert_eq!(run.costs.len(), 2, "{}", run.costs.dump());
+        let fresh = &run.results[0];
+        assert_eq!(
+            run.costs.get(key(SKIP)),
+            Some(CostStat {
+                conflicts: fresh.stats.solver.total().conflicts,
+                wall_micros: u64::try_from(fresh.elapsed.as_micros()).unwrap(),
+                outcome: RecordedOutcome::Summarized,
+            }),
+            "the store hit left the fresh row as it was"
+        );
+        let retried = run.costs.get(key(UNTIL_NUL)).expect("main-lane row");
+        assert_eq!(
+            retried.outcome,
+            RecordedOutcome::BudgetExhausted,
+            "the main lane's capped run, not the retry round's summary"
+        );
+
+        let scratch = ScratchDir::new();
+        fs::create_dir_all(&scratch.0).unwrap();
+        let path = scratch.0.join("costs.tsv");
+        let mut older = CostBook::new();
+        older.record(7, CostStat::default());
+        older.save(&path).unwrap();
+        merge_costs_into(&run.costs, &path).unwrap();
+        let merged = CostBook::load(&path);
+        assert_eq!(merged.len(), 3, "{}", merged.dump());
+        assert_eq!(merged.get(7), Some(CostStat::default()), "older rows kept");
+        assert_eq!(merged.get(key(UNTIL_NUL)), Some(retried));
+        let untouched = scratch.0.join("empty.tsv");
+        merge_costs_into(&CostBook::new(), &untouched).unwrap();
+        assert!(!untouched.exists(), "nothing recorded, nothing written");
     }
 
     /// Unknown loop ids resolve to `App::External`; corpus ids inherit

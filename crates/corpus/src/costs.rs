@@ -1,10 +1,13 @@
 //! The persisted per-loop cost book.
 //!
-//! Every fresh synthesis leaves a [`CostStat`] row keyed by the loop's
-//! [`fingerprint_hash`]: what it cost and how it ended. Schedulers read
-//! the book to dispatch expensive loops first; the summaries themselves
-//! live in the summary store (`strsum_server::ShardedStore`), which both
-//! the daemon and the batch runner use.
+//! Every fresh synthesis in a batch run's main lane leaves a [`CostStat`]
+//! row keyed by the loop's [`fingerprint_hash`]: what it cost and how it
+//! ended. The batch runner reads the book to dispatch expensive loops
+//! first (see [`crate::plan::ljf_order`]) and, when a benchmark asks,
+//! merges its run's rows back into `results/costs.tsv`; the daemon
+//! neither reads nor writes a book. The summaries themselves live in the
+//! summary store (`strsum_server::ShardedStore`), which both the daemon
+//! and the batch runner use.
 
 use std::path::Path;
 

@@ -1,12 +1,13 @@
-//! Execution-plan vocabulary shared by the batch runner and the daemon
-//! scheduler: longest-job-first dispatch from the persisted [`CostBook`],
-//! the strategy tallies a run reports, and the fast-lane cutoff.
+//! Execution-plan vocabulary of the batch runner: longest-job-first
+//! dispatch from the persisted [`CostBook`] and the strategy tallies a
+//! run reports.
 //!
-//! The cost book is the only source of cost estimates. Every loop runs
-//! the one serial candidate search, and the book only decides *when* it
-//! runs: expensive loops dispatch first so the tail job never starts on
-//! the last free worker. Synthesis never reads the order, so ordering
-//! changes wall clock and nothing else.
+//! The cost book is the only source of cost estimates, and the batch
+//! runner is its only reader; the daemon queues syntheses in admission
+//! order. Every loop runs the one serial candidate search, and the book
+//! only decides *when* it runs: expensive loops dispatch first so the
+//! tail job never starts on the last free worker. Synthesis never reads
+//! the order, so ordering changes wall clock and nothing else.
 
 use crate::costs::CostBook;
 use strsum_obs::ToJson;
@@ -32,10 +33,6 @@ impl ToJson for PlanCounts {
         )
     }
 }
-
-/// Predicted cost below which the daemon scheduler finishes a synthesis
-/// on its fast lane instead of queueing it in the cost-ordered heap.
-pub const SERIAL_CUTOFF_MICROS: u64 = 250_000;
 
 /// Longest-job-first dispatch permutation for loops identified by their
 /// fingerprint-hash `keys` (`None` for loops that could not be

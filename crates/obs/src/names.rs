@@ -34,8 +34,6 @@ pub const PLAN_SERIAL: &str = "plan.serial";
 
 /// Corrupt/truncated append-log lines dropped by one summary-store open.
 pub const STORE_DROPPED: &str = "store.dropped";
-/// Entries evicted from the summary store by the cold-eviction pass.
-pub const STORE_EVICTED: &str = "store.evicted";
 /// One request was served a summary from the persistent store (after
 /// mandatory re-verification).
 pub const STORE_HIT: &str = "store.hit";
@@ -53,13 +51,11 @@ pub const STORE_VERDICT_STORED: &str = "store.verdict_stored";
 
 /// One request admitted to the daemon scheduler's run queue.
 pub const SCHED_ADMITTED: &str = "sched.admitted";
-/// One request dispatched through the scheduler's fast lane (refusal,
-/// store hit, predicted-cheap, or interactive priority).
+/// One request dispatched through the scheduler's fast lane (store hit
+/// or interactive priority).
 pub const SCHED_FAST_LANE: &str = "sched.fast_lane";
-/// One request dispatched from the cost-ordered synthesis heap.
+/// One request dispatched from the scheduler's synthesis queue.
 pub const SCHED_HEAP: &str = "sched.heap";
-/// One admission cost prediction came from a persisted `CostBook` row.
-pub const SCHED_PREDICTED_BOOK: &str = "sched.predicted.book";
 /// One idle connection was closed by the per-connection read timeout.
 pub const SCHED_IDLE_CLOSED: &str = "sched.idle_closed";
 /// One connection was closed for sending a frame over the daemon's

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! strsum-server [--store DIR] [--shards N] [--workers N]
-//!               [--queue-depth N] [--fifo] [--socket PATH]
+//!               [--queue-depth N] [--socket PATH]
 //! ```
 
 use std::process::ExitCode;
@@ -23,26 +23,24 @@ struct Args {
     shards: usize,
     workers: usize,
     queue_depth: Option<usize>,
-    fifo: bool,
     socket: Option<std::path::PathBuf>,
 }
 
 const USAGE: &str = "usage: strsum-server [--store DIR] [--shards N] [--workers N]
-                     [--queue-depth N] [--fifo] [--socket PATH]
+                     [--queue-depth N] [--socket PATH]
 
 Serves the strsum wire protocol (one JSON frame per line) on
-stdin/stdout, or on a Unix socket when --socket is given. Syntheses
-queue longest-job-first by the cost book in DIR/costs.tsv; each runs
-the serial candidate search on one worker. A v1 request's `plan`
-object is checked and then ignored.
+stdin/stdout, or on a Unix socket when --socket is given. Store hits
+and interactive requests answer at once; syntheses queue normal
+priority before bulk, each in admission order, and each runs the
+serial candidate search on one worker. A v1 request's `plan` object
+is checked and then ignored.
 
   --store DIR      summary store directory (default: results/store)
   --shards N       shard count for a fresh store (default: 8)
   --workers N      worker threads (default: available parallelism)
   --queue-depth N  admitted-request bound before intake blocks
                    (default: 1024)
-  --fifo           arrival-order scheduling (disable the cost-book
-                   ordered run queue; benchmark baseline)
   --socket PATH    listen on a Unix socket instead of stdio
 ";
 
@@ -63,7 +61,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         shards: 0, // 0 → store default
         workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
         queue_depth: None,
-        fifo: false,
         socket: None,
     };
     let mut it = argv.iter();
@@ -80,7 +77,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--queue-depth" => {
                 args.queue_depth = Some(positive("--queue-depth", value("--queue-depth").ok())?)
             }
-            "--fifo" => args.fifo = true,
             "--socket" => args.socket = Some(value("--socket")?.into()),
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -112,20 +108,14 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "strsum-server: store {} ({} shards, {} entries, {} verdicts, {} cost rows), {} workers, {} scheduling",
+        "strsum-server: store {} ({} shards, {} entries, {} verdicts), {} workers",
         args.store.display(),
         engine.store().shard_count(),
         engine.store().len(),
         engine.store().verdict_count(),
-        engine.cost_book_rows(),
         args.workers.max(1),
-        if args.fifo { "fifo" } else { "cost-ordered" },
     );
-    let mut opts = if args.fifo {
-        SchedOptions::fixed(args.workers)
-    } else {
-        SchedOptions::scheduled(args.workers)
-    };
+    let mut opts = SchedOptions::scheduled(args.workers);
     if let Some(depth) = args.queue_depth {
         opts = opts.queue_depth(depth);
     }
@@ -185,7 +175,6 @@ mod tests {
         assert_eq!(args.shards, 0, "0 → store default");
         assert!(args.workers >= 1);
         assert_eq!(args.queue_depth, None);
-        assert!(!args.fifo);
         assert!(args.socket.is_none());
     }
 
@@ -200,7 +189,6 @@ mod tests {
             "3",
             "--queue-depth",
             "16",
-            "--fifo",
             "--socket",
             "/tmp/x.sock",
         ]))
@@ -208,7 +196,6 @@ mod tests {
         assert_eq!(args.shards, 4);
         assert_eq!(args.workers, 3);
         assert_eq!(args.queue_depth, Some(16));
-        assert!(args.fifo);
         assert_eq!(args.socket, Some(std::path::PathBuf::from("/tmp/x.sock")));
     }
 
@@ -238,8 +225,10 @@ mod tests {
         assert!(parse_args(&argv(&["--workers"]))
             .unwrap_err()
             .contains("needs a value"));
-        assert!(parse_args(&argv(&["--bogus"]))
-            .unwrap_err()
-            .contains("unknown flag"));
+        for gone in ["--bogus", "--fifo"] {
+            assert!(parse_args(&argv(&[gone]))
+                .unwrap_err()
+                .contains("unknown flag"));
+        }
     }
 }

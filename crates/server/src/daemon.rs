@@ -7,13 +7,13 @@
 //! progress concurrently — the run queue is shared, so four clients
 //! replaying a corpus each keep every worker busy, and the scheduler
 //! (not arrival order) decides what runs next. See [`crate::sched`] for
-//! the queueing policy; [`Daemon::start`] uses the cost-ordered policy,
-//! [`Daemon::with_options`] pins any other configuration.
+//! the queueing policy; [`Daemon::start`] uses the fast lane and the
+//! priority queue, [`Daemon::with_options`] pins any other
+//! configuration.
 //!
 //! Shutdown is a drain, not an abort: a `shutdown` frame (or EOF) stops
 //! intake on that connection; the daemon then finishes every request
-//! already admitted, answers it, merges this lifetime's observed costs
-//! into the store's `costs.tsv`, compacts the store, and only then
+//! already admitted, answers it, compacts the store, and only then
 //! exits. No accepted request is ever dropped.
 
 use std::io::{BufRead, Write};
@@ -99,7 +99,7 @@ pub struct Daemon {
 
 impl Daemon {
     /// Spawns `workers` threads (min 1) serving requests on `engine`
-    /// under the cost-ordered scheduler.
+    /// under the fast lane and the priority queue.
     pub fn start(engine: Arc<Engine>, workers: usize) -> Daemon {
         Daemon::with_options(engine, SchedOptions::scheduled(workers))
     }
@@ -218,13 +218,10 @@ impl Daemon {
     }
 
     /// Stops intake, drains the run queue (every admitted request still
-    /// answers), joins the workers, merges this lifetime's observed
-    /// synthesis costs into the store's `costs.tsv`, and compacts the
-    /// store.
+    /// answers), joins the workers, and compacts the store.
     pub fn shutdown(self) -> std::io::Result<()> {
         let Daemon { engine, sched } = self;
         sched.shutdown();
-        engine.save_costs()?;
         engine.store().compact()
     }
 }
@@ -635,34 +632,6 @@ mod tests {
         let reversed = serve("perm-rev", &[3, 2, 1, 0]);
         assert_eq!(forward, shuffled);
         assert_eq!(forward, reversed);
-    }
-
-    /// Satellite (cost feedback): a daemon run records its syntheses and
-    /// `shutdown` persists them; the next daemon over the same store
-    /// plans from the first run's rows.
-    #[test]
-    fn shutdown_persists_costs_for_the_next_daemon() {
-        let dir = test_dir("costs");
-        {
-            let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-            let daemon = Daemon::start(Arc::new(engine), 2);
-            let responses = daemon.submit(vec![
-                SummaryRequest::c("a", SKIP),
-                SummaryRequest::c("b", UNTIL_NUL),
-            ]);
-            assert!(responses
-                .iter()
-                .all(|r| r.outcome == LoopOutcome::Summarized));
-            assert_eq!(daemon.engine().costs_recorded(), 2);
-            daemon.shutdown().unwrap();
-        }
-        assert!(dir.join("costs.tsv").exists(), "shutdown saved the book");
-        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-        assert!(
-            engine.cost_book_rows() >= 2,
-            "second daemon loads the first run's rows"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Starts `daemon` on a socket in `dir`; returns the stop flag, the

@@ -13,7 +13,7 @@
 //!
 //! The lifecycle is split at its natural pipeline boundary:
 //! [`Engine::prepare`] runs the cheap front half (decode → compile →
-//! fingerprint → store-presence + cost-estimate), and
+//! fingerprint → store and memo probe), and
 //! [`Engine::resolve`] runs the expensive back half (re-verified store
 //! hit | synthesis → publish) and returns a typed [`Resolution`].
 //! [`Engine::finish`] renders that resolution as the wire response, and
@@ -22,14 +22,6 @@
 //! therefore reorder *between* the halves without touching what either
 //! half computes, so responses stay byte-identical whatever the queue
 //! does.
-//!
-//! Every fresh synthesis is also recorded into a [`CostBook`], kept live
-//! in memory for the scheduler's estimates and merged into a book on
-//! disk via the atomic load-merge-rename save ([`Engine::save_costs`] for
-//! the daemon's `<store>/costs.tsv`, [`Engine::merge_costs_into`] for
-//! the batch runner's opt-in write-back), so served and batch traffic
-//! order later runs alike. The book is the only source of cost
-//! estimates.
 //!
 //! **Verdict memo.** A negative answer cannot be re-verified, so it is
 //! memoized under an exact key instead of the semantic fingerprint: a
@@ -41,9 +33,8 @@
 //! when the store holds no summary for its fingerprint. `flags.store =
 //! false` neither reads nor writes the memo.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use strsum_api::{parse_outcome, Origin, SourceSpec, SummaryRequest, SummaryResponse};
@@ -51,7 +42,7 @@ use strsum_core::{
     loop_fingerprint, summarize_loop, verify_summary, BudgetKind, LoopOutcome, SolverTelemetry,
     SummarizeResult, Summary, SynthStats, SynthesisConfig,
 };
-use strsum_corpus::{fingerprint_hash, CostBook, CostStat, RecordedOutcome};
+use strsum_corpus::fingerprint_hash;
 use strsum_obs::names;
 use strsum_smt::SessionStats;
 
@@ -93,30 +84,6 @@ impl strsum_obs::ToJson for EngineStats {
     }
 }
 
-/// What the cost book says about one admitted request — the same trust
-/// semantics the batch runner's longest-job-first order applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostEstimate {
-    /// A budget-capped book row: the recorded wall is a *lower bound*
-    /// on true cost (the attempt was cut off), so the loop is
-    /// known-at-least-this-expensive.
-    CappedRow(u64),
-    /// A trusted book row: the recorded wall is the estimate.
-    Row(u64),
-    /// Nothing known — no trusted or capped row for this fingerprint.
-    Unknown,
-}
-
-impl CostEstimate {
-    /// The predicted wall microseconds, when there is one.
-    pub fn micros(self) -> Option<u64> {
-        match self {
-            CostEstimate::CappedRow(m) | CostEstimate::Row(m) => Some(m),
-            CostEstimate::Unknown => None,
-        }
-    }
-}
-
 /// The outcome of [`Engine::prepare`]: either the request resolved at
 /// admission (refusals and verdict-memo hits — nothing to schedule), or
 /// a compiled, fingerprinted task carrying everything the scheduler
@@ -130,7 +97,8 @@ pub enum Prepared {
 }
 
 /// A compiled request between the pipeline halves. Owning the IR means
-/// `finish` never re-parses; the scheduler only reads the cost fields.
+/// `finish` never re-parses; the scheduler only reads the priority and
+/// store presence.
 pub struct PreparedTask {
     pub(crate) req: SummaryRequest,
     pub(crate) func: strsum_ir::Func,
@@ -138,12 +106,12 @@ pub struct PreparedTask {
     pub(crate) key: u64,
     pub(crate) cfg: SynthesisConfig,
     pub(crate) store_present: bool,
-    pub(crate) estimate: CostEstimate,
     pub(crate) prep_micros: u64,
 }
 
 impl PreparedTask {
-    /// The fingerprint hash (the cost book key).
+    /// The fingerprint hash: the batch runner's grouping and cost-row
+    /// key.
     pub fn key(&self) -> u64 {
         self.key
     }
@@ -153,11 +121,6 @@ impl PreparedTask {
     /// synthesis).
     pub fn store_present(&self) -> bool {
         self.store_present
-    }
-
-    /// The admission cost estimate.
-    pub fn estimate(&self) -> CostEstimate {
-        self.estimate
     }
 
     /// The request's scheduling priority.
@@ -202,45 +165,33 @@ pub struct Resolution {
 pub struct Engine {
     store: ShardedStore,
     base: SynthesisConfig,
-    book: RwLock<CostBook>,
-    fresh: Mutex<CostBook>,
-    book_path: PathBuf,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
     reverified: AtomicU64,
     rejected: AtomicU64,
     verdict_hits: AtomicU64,
     verdicts_stored: AtomicU64,
-    costs_recorded: AtomicU64,
 }
 
 impl Engine {
     /// Opens an engine over the store at `dir` (created if missing) with
     /// `shards` shard files (0 = default), serving requests under
-    /// `base` config defaults. The cost book at `<dir>/costs.tsv` is
-    /// loaded for scheduling predictions (empty when absent — the book
-    /// is a hint).
+    /// `base` config defaults.
     pub fn open(dir: &Path, shards: usize, base: SynthesisConfig) -> std::io::Result<Engine> {
         let store = ShardedStore::open(dir, shards)?;
-        let book_path = dir.join("costs.tsv");
-        let book = CostBook::load(&book_path);
         Ok(Engine {
             store,
             base,
-            book: RwLock::new(book),
-            fresh: Mutex::new(CostBook::new()),
-            book_path,
             store_hits: AtomicU64::new(0),
             store_misses: AtomicU64::new(0),
             reverified: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             verdict_hits: AtomicU64::new(0),
             verdicts_stored: AtomicU64::new(0),
-            costs_recorded: AtomicU64::new(0),
         })
     }
 
-    /// The underlying store (for audits, compaction, eviction).
+    /// The underlying store (for audits and compaction).
     pub fn store(&self) -> &ShardedStore {
         &self.store
     }
@@ -254,60 +205,6 @@ impl Engine {
             rejected: self.rejected.load(Ordering::Relaxed),
             verdict_hits: self.verdict_hits.load(Ordering::Relaxed),
             verdicts_stored: self.verdicts_stored.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Fresh-synthesis costs recorded into the book this lifetime.
-    pub fn costs_recorded(&self) -> u64 {
-        self.costs_recorded.load(Ordering::Relaxed)
-    }
-
-    /// Rows in the live cost book (persisted rows plus this lifetime's
-    /// observations).
-    pub fn cost_book_rows(&self) -> usize {
-        self.book.read().expect("cost book lock").len()
-    }
-
-    /// The live book's row for a fingerprint hash, if any.
-    pub fn booked(&self, key: u64) -> Option<CostStat> {
-        self.book.read().expect("cost book lock").get(key)
-    }
-
-    /// Where [`Engine::save_costs`] persists the book.
-    pub fn cost_book_path(&self) -> &Path {
-        &self.book_path
-    }
-
-    /// Merges this lifetime's fresh cost observations into the book at
-    /// [`Engine::cost_book_path`].
-    pub fn save_costs(&self) -> std::io::Result<()> {
-        self.merge_costs_into(&self.book_path)
-    }
-
-    /// Merges this lifetime's fresh cost observations into the book at
-    /// `path` — load at save time, merge, atomic rename — so concurrent
-    /// writers (another daemon, a batch run pointed at the same file)
-    /// never lose each other's rows. No-op when nothing was recorded.
-    pub fn merge_costs_into(&self, path: &Path) -> std::io::Result<()> {
-        let fresh = self.fresh.lock().expect("fresh cost book lock");
-        if fresh.is_empty() {
-            return Ok(());
-        }
-        let mut disk = CostBook::load(path);
-        disk.merge(&fresh);
-        disk.save(path)
-    }
-
-    /// The scheduler's cost estimate for a fingerprint hash, from the
-    /// live book: a capped row is flagged as a lower bound, a trusted row
-    /// is the estimate. Untrusted rows (crashed workers, v1 books) carry
-    /// no credible signal and estimate as [`CostEstimate::Unknown`], like
-    /// a fingerprint with no row.
-    pub fn estimate(&self, key: u64) -> CostEstimate {
-        match self.book.read().expect("cost book lock").get(key) {
-            Some(row) if row.capped() => CostEstimate::CappedRow(row.wall_micros),
-            Some(row) if row.trusted() => CostEstimate::Row(row.wall_micros),
-            _ => CostEstimate::Unknown,
         }
     }
 
@@ -342,8 +239,7 @@ impl Engine {
     }
 
     /// The front half of the lifecycle: classify the payload, compile,
-    /// fingerprint, probe the store and the verdict memo, and estimate
-    /// cost. Refusals (IR requests, bad UTF-8, compile errors) and memo
+    /// fingerprint, and probe the store and the verdict memo. Refusals (IR requests, bad UTF-8, compile errors) and memo
     /// hits resolve here — they are cheap and need no scheduling.
     pub fn prepare(&self, req: SummaryRequest) -> Prepared {
         let start = Instant::now();
@@ -371,7 +267,7 @@ impl Engine {
         let cfg = self.request_cfg(&req);
         // 3. Fingerprint and probe: the scheduler routes store-present
         //    tasks down the fast lane (finishing is one bounded
-        //    re-verification) and cost-orders the rest. A loop the store
+        //    re-verification) and queues the rest. A loop the store
         //    holds no summary for may have a memoized verdict under its
         //    exact key.
         let fp = loop_fingerprint(&func, cfg.max_ex_size);
@@ -382,11 +278,6 @@ impl Engine {
                 return done(resp);
             }
         }
-        let estimate = if store_present {
-            CostEstimate::Unknown // irrelevant: no synthesis to size
-        } else {
-            self.estimate(key)
-        };
         let prep_micros = micros_since(start);
         Prepared::Task(PreparedTask {
             req,
@@ -395,7 +286,6 @@ impl Engine {
             key,
             cfg,
             store_present,
-            estimate,
             prep_micros,
         })
     }
@@ -435,16 +325,10 @@ impl Engine {
     }
 
     /// The back half of the lifecycle: store lookup with mandatory
-    /// re-verification, fresh synthesis on miss, publish, and cost
-    /// recording.
+    /// re-verification, fresh synthesis on miss, and publish.
     pub fn resolve(&self, task: PreparedTask) -> Resolution {
         let PreparedTask {
-            req,
-            func,
-            fp,
-            key,
-            cfg,
-            ..
+            req, func, fp, cfg, ..
         } = task;
 
         // 4. Store lookup by semantic fingerprint; every hit re-verifies
@@ -509,17 +393,7 @@ impl Engine {
         let elapsed = start.elapsed();
         span.arg_u64("synthesised", u64::from(summary.is_some()));
         let outcome = classify(&stats, summary.is_some());
-        // 6. Record the observed cost. Store hits and crashes never get
-        //    here, so they never enter the book.
-        self.record_cost(
-            key,
-            CostStat {
-                conflicts: stats.solver.total().conflicts,
-                wall_micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                outcome: recorded_outcome(&outcome),
-            },
-        );
-        // 7. Publish. Verified fresh summaries — gadget programs and
+        // 6. Publish. Verified fresh summaries — gadget programs and
         //    closed forms alike — enter the store so the next request
         //    with this fingerprint hits; a deterministic negative enters
         //    the verdict memo under the config this synthesis ran with.
@@ -548,17 +422,6 @@ impl Engine {
             elapsed,
             rejected,
         }
-    }
-
-    /// Records one fresh-synthesis cost into the live book (estimates
-    /// improve mid-run) and the fresh book (merged to disk on shutdown).
-    fn record_cost(&self, key: u64, stat: CostStat) {
-        self.fresh
-            .lock()
-            .expect("fresh cost book lock")
-            .record(key, stat);
-        self.book.write().expect("cost book lock").record(key, stat);
-        self.costs_recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The memoized verdict for a loop under `cfg`, as a response:
@@ -653,18 +516,6 @@ fn classify(stats: &SynthStats, summarized: bool) -> LoopOutcome {
         (true, _) => LoopOutcome::Summarized,
         (false, Some(kind)) => LoopOutcome::BudgetExhausted(kind),
         (false, None) => LoopOutcome::NotMemoryless,
-    }
-}
-
-/// The cost book's outcome tag for a fresh synthesis's outcome. Hits and
-/// crashes are never recorded, so they have no tag of their own.
-fn recorded_outcome(outcome: &LoopOutcome) -> RecordedOutcome {
-    match outcome {
-        LoopOutcome::Summarized => RecordedOutcome::Summarized,
-        LoopOutcome::NotMemoryless => RecordedOutcome::NotMemoryless,
-        LoopOutcome::BudgetExhausted(_) => RecordedOutcome::BudgetExhausted,
-        LoopOutcome::Degraded => RecordedOutcome::Degraded,
-        LoopOutcome::CacheHit | LoopOutcome::Crashed(_) => RecordedOutcome::Unknown,
     }
 }
 
@@ -894,39 +745,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Fresh syntheses land in the live book and the saved book;
-    /// a reopened engine estimates from the persisted row (satellite:
-    /// served traffic trains the planner across daemon runs).
-    #[test]
-    fn costs_persist_and_inform_the_next_engine() {
-        let dir = tmp_dir("costs");
-        let key = {
-            let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-            let resp = engine.handle(&SummaryRequest::c("c1", SKIP_SPACES));
-            assert_eq!(resp.outcome, LoopOutcome::Summarized);
-            assert_eq!(engine.costs_recorded(), 1);
-            let task = match engine.prepare(SummaryRequest::c("c2", SKIP_SPACES)) {
-                Prepared::Task(t) => t,
-                Prepared::Done(r) => panic!("unexpected refusal: {:?}", r.failure),
-            };
-            assert!(task.store_present(), "published on the first pass");
-            engine.save_costs().unwrap();
-            task.key()
-        };
-        // A second engine over the same dir plans from the first run's
-        // rows before serving anything.
-        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
-        let row = engine.booked(key).expect("persisted cost row loaded");
-        assert!(row.trusted(), "summarized rows are trusted estimates");
-        assert!(matches!(engine.estimate(key), CostEstimate::Row(_)));
-        // And the store hit itself is costless: serving it records
-        // nothing (a re-verification says nothing about synthesis cost).
-        let resp = engine.handle(&SummaryRequest::c("c3", SKIP_SPACES));
-        assert_eq!(resp.outcome, LoopOutcome::CacheHit);
-        assert_eq!(engine.costs_recorded(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A v1 request naming the retired `cubed` mode, at any cube count,
     /// decodes to the plan-less request: the same verdict key, and the
     /// same response bytes (wall clock aside) through the pipeline
@@ -1004,7 +822,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.verdict_hits, 1);
         assert_eq!((stats.store_hits, stats.store_misses), (0, 0));
-        assert_eq!(engine.costs_recorded(), 0, "no synthesis ran");
         // A larger conflict cap is another key: it misses and summarises.
         let larger = engine.handle(&SummaryRequest::c("m3", SKIP_SPACES));
         assert_eq!(larger.origin, Origin::Fresh);

@@ -4,9 +4,8 @@
 //! Four layers, composed bottom-up:
 //!
 //! - [`store`] — a fingerprint-sharded, crash-safe on-disk summary
-//!   index (checksummed append logs, tombstones, compaction, cold
-//!   eviction informed by a `CostBook`), plus the verdict records of
-//!   the engine's memo.
+//!   index (checksummed append logs, tombstones, compaction), plus the
+//!   verdict records of the engine's memo.
 //! - [`engine`] — the request lifecycle: parse → fingerprint → store
 //!   lookup with **mandatory re-verification** of every hit → (on a
 //!   miss) an exact-keyed verdict-memo answer for a loop that failed
@@ -14,11 +13,10 @@
 //!   like the batch runner, so the daemon's answers are byte-identical
 //!   to `CorpusRunner`'s. Split at
 //!   the pipeline boundary into [`Engine::prepare`] / [`Engine::finish`]
-//!   for the scheduler, with every fresh synthesis recorded into the
-//!   store's `CostBook`.
-//! - [`sched`] — the cross-request scheduler: a shared run queue
-//!   ordering admitted work by its cost-book estimate (fast lane for
-//!   cheap finishes, longest-job-first heap for syntheses).
+//!   for the scheduler.
+//! - [`sched`] — the cross-request scheduler: a fast lane for store
+//!   hits and interactive requests, and a queue that runs syntheses
+//!   normal priority before bulk, each in admission order.
 //! - [`daemon`] — the service shell: line-framed stdin/stdout and
 //!   Unix-socket front ends (with per-connection idle timeouts)
 //!   speaking the `strsum-api` wire protocol, graceful drain on
@@ -30,8 +28,6 @@ pub mod sched;
 pub mod store;
 
 pub use daemon::{serve_unix_socket, Daemon, DEFAULT_IDLE_TIMEOUT};
-pub use engine::{
-    memoizable, CostEstimate, Engine, EngineStats, Prepared, PreparedTask, Resolution,
-};
+pub use engine::{memoizable, Engine, EngineStats, Prepared, PreparedTask, Resolution};
 pub use sched::{Policy, SchedOptions, SchedStats, Scheduler, DEFAULT_QUEUE_DEPTH};
 pub use store::{ShardedStore, VerdictKey, DEFAULT_SHARDS};

@@ -1,48 +1,45 @@
-//! The cross-request scheduler: a shared run queue that orders admitted
-//! work by its cost-book estimate instead of arrival.
+//! The cross-request scheduler: a shared run queue with a fast lane for
+//! cheap finishes and a priority queue for syntheses.
 //!
 //! The fixed pool this replaces pulled requests FIFO from one mpsc
-//! channel: a cheap store hit queued behind a 30-second synthesis, and
-//! an expensive loop admitted last serialised the tail of every mixed
-//! workload. This scheduler reuses the batch runner's cost vocabulary —
-//! `CostBook` rows and the fast-lane cutoff — across requests:
+//! channel, so a cheap store hit queued behind a 30-second synthesis.
+//! This scheduler separates the two:
 //!
 //! - **Two lanes.** Admitted requests enter a raw intake queue; any
 //!   worker pops raw work, runs [`Engine::prepare`] (decode → compile →
-//!   fingerprint → store probe → cost estimate), and classifies it.
-//!   Cheap finishes — store hits, interactive-priority requests,
-//!   predicted-sub-cutoff syntheses — run immediately (the *fast
-//!   lane*); everything else enters a cost-ordered heap. Workers always
-//!   drain fast-lane and raw work before popping the heap, so a cache
-//!   hit never waits behind a synthesis: p50 for warm traffic stays
-//!   flat under cold load.
-//! - **Longest-job-first.** The heap pops in the batch `ljf_order`
-//!   policy: budget-capped fingerprints (known at-least-this-expensive)
-//!   first by recorded wall descending, then unknown loops in admission
-//!   order, then trusted rows by wall descending. Bulk-priority requests
-//!   sort after everything. LJF minimises makespan when costs are
-//!   roughly known; admission order breaks ties so no request starves.
+//!   fingerprint → store probe), and classifies it. Store hits and
+//!   interactive-priority requests finish on the spot (the *fast
+//!   lane*); every other task waits in the queue. Workers always drain
+//!   raw work before popping the queue, so a cache hit never waits
+//!   behind a synthesis: p50 for warm traffic stays flat under cold
+//!   load.
+//! - **Priority, then admission order.** The queue pops normal-priority
+//!   tasks before bulk ones, each in admission order, so no request
+//!   starves behind later arrivals of its own priority.
 //!
-//! Every synthesis runs the one serial candidate search on the worker
-//! that pops it; the scheduler grants no extra cores.
+//! The daemon keeps no cost estimates. A summary depends only on the
+//! loop and its budget, never on when it runs, and cost ordering of a
+//! known workload is the batch runner's business (`ljf_order` over its
+//! persisted cost book). Every synthesis runs the one serial candidate
+//! search on the worker that pops it; the scheduler grants no extra
+//! cores.
 //!
 //! Determinism: scheduling changes *when* work runs, never what it
 //! computes, and responses are slotted by admission index. The
-//! [`Policy::Fifo`] variant disables ordering (every request runs
+//! [`Policy::Fifo`] variant disables both lanes (every request runs
 //! `Engine::handle` in arrival order) and is the baseline the
 //! `serve_audit` benchmark compares against.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use strsum_api::{Priority, SummaryRequest, SummaryResponse};
-use strsum_corpus::plan::SERIAL_CUTOFF_MICROS;
 use strsum_obs::names;
 
-use crate::engine::{CostEstimate, Engine, Prepared, PreparedTask};
+use crate::engine::{Engine, Prepared, PreparedTask};
 
 /// Default bound on admitted-but-unanswered requests before intake
 /// blocks (backpressure, not rejection).
@@ -54,8 +51,9 @@ pub enum Policy {
     /// Arrival order, no fast lane — the fixed pool, kept as the
     /// benchmark baseline.
     Fifo,
-    /// Cost-ordered from the book: fast lane + LJF heap.
-    CostOrdered,
+    /// Fast lane for store hits and interactive requests, then a queue
+    /// popping normal priority before bulk, each in admission order.
+    Lanes,
 }
 
 /// Scheduler configuration.
@@ -70,12 +68,12 @@ pub struct SchedOptions {
 }
 
 impl SchedOptions {
-    /// The default: cost-ordered queue over `workers` threads.
+    /// The default: fast lane plus priority queue over `workers` threads.
     pub fn scheduled(workers: usize) -> SchedOptions {
         SchedOptions {
             workers: workers.max(1),
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            policy: Policy::CostOrdered,
+            policy: Policy::Lanes,
         }
     }
 
@@ -102,17 +100,15 @@ pub struct SchedStats {
     pub admitted: u64,
     /// Requests finished through the fast lane.
     pub fast_lane: u64,
-    /// Requests finished from the cost-ordered heap.
+    /// Requests finished from the queue.
     pub heap: u64,
-    /// Admission estimates served by a cost-book row.
-    pub predicted_book: u64,
 }
 
 impl strsum_obs::ToJson for SchedStats {
     fn to_json(&self) -> String {
         format!(
-            "{{\"admitted\":{},\"fast_lane\":{},\"heap\":{},\"predicted_book\":{}}}",
-            self.admitted, self.fast_lane, self.heap, self.predicted_book
+            "{{\"admitted\":{},\"fast_lane\":{},\"heap\":{}}}",
+            self.admitted, self.fast_lane, self.heap
         )
     }
 }
@@ -123,56 +119,62 @@ struct Job {
     req: SummaryRequest,
     index: usize,
     reply: Sender<(usize, SummaryResponse)>,
-    seq: u64,
 }
 
-/// A prepared task waiting in the cost-ordered heap. Orders by the LJF
-/// policy; `BinaryHeap` is a max-heap, so `Ord::Greater` pops first.
-struct HeapItem {
-    /// Boxed: the task owns the compiled IR, and heap sifts (and the
+/// A prepared task waiting in the queue.
+struct Queued {
+    /// Boxed: the task owns the compiled IR, and the queue (and the
     /// `Work` enum) should move a pointer, not half a kilobyte.
     task: Box<PreparedTask>,
     index: usize,
     reply: Sender<(usize, SummaryResponse)>,
-    /// LJF band: 3 capped, 2 unknown, 1 trusted, 0 bulk.
-    band: u8,
-    /// Predicted wall microseconds (0 when unknown).
-    wall: u64,
-    seq: u64,
 }
 
-impl HeapItem {
-    /// (band desc, wall desc, admission order asc) — the heap mirror of
-    /// the batch `ljf_order` sort.
-    fn rank(&self) -> (u8, u64, std::cmp::Reverse<u64>) {
-        (self.band, self.wall, std::cmp::Reverse(self.seq))
+/// Whether a prepared task finishes on the fast lane: store hits (one
+/// bounded re-verification) and interactive requests. Bulk never rides
+/// the fast lane, so a bulk replay of a warm store cannot crowd out
+/// normal traffic.
+fn fast_lane(priority: Priority, store_present: bool) -> bool {
+    match priority {
+        Priority::Interactive => true,
+        Priority::Normal => store_present,
+        Priority::Bulk => false,
     }
 }
 
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank() == other.rank()
-    }
+/// The waiting tasks: normal priority pops before bulk, each in
+/// admission order.
+struct RunQueue<T> {
+    normal: VecDeque<T>,
+    bulk: VecDeque<T>,
 }
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl<T> RunQueue<T> {
+    fn new() -> Self {
+        RunQueue {
+            normal: VecDeque::new(),
+            bulk: VecDeque::new(),
+        }
     }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rank().cmp(&other.rank())
+
+    fn push(&mut self, priority: Priority, item: T) {
+        match priority {
+            Priority::Bulk => self.bulk.push_back(item),
+            Priority::Interactive | Priority::Normal => self.normal.push_back(item),
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.normal.pop_front().or_else(|| self.bulk.pop_front())
     }
 }
 
 /// Queue state under the scheduler mutex.
 struct QueueState {
     raw: VecDeque<Job>,
-    heap: BinaryHeap<HeapItem>,
+    queue: RunQueue<Queued>,
     /// Admitted but unanswered (backpressure counter).
     pending: usize,
-    seq: u64,
     closed: bool,
 }
 
@@ -186,8 +188,7 @@ struct Shared {
     space_cv: Condvar,
     admitted: AtomicU64,
     fast_lane: AtomicU64,
-    heap_pops: AtomicU64,
-    predicted_book: AtomicU64,
+    queue_pops: AtomicU64,
 }
 
 /// The shared run queue and its worker pool.
@@ -204,17 +205,15 @@ impl Scheduler {
             opts,
             state: Mutex::new(QueueState {
                 raw: VecDeque::new(),
-                heap: BinaryHeap::new(),
+                queue: RunQueue::new(),
                 pending: 0,
-                seq: 0,
                 closed: false,
             }),
             work_cv: Condvar::new(),
             space_cv: Condvar::new(),
             admitted: AtomicU64::new(0),
             fast_lane: AtomicU64::new(0),
-            heap_pops: AtomicU64::new(0),
-            predicted_book: AtomicU64::new(0),
+            queue_pops: AtomicU64::new(0),
         });
         let workers = (0..opts.workers.max(1))
             .map(|_| {
@@ -231,9 +230,9 @@ impl Scheduler {
     }
 
     /// Admits one request. Blocks while the queue is at depth
-    /// (backpressure); panics if called after [`Scheduler::close`] —
-    /// the daemon stops intake before closing, same contract as the old
-    /// mpsc send.
+    /// (backpressure); panics if intake is already closed — the daemon
+    /// stops intake before [`Scheduler::shutdown`], same contract as the
+    /// old mpsc send.
     pub fn submit(
         &self,
         req: SummaryRequest,
@@ -247,14 +246,7 @@ impl Scheduler {
         }
         assert!(!st.closed, "submit after scheduler close");
         st.pending += 1;
-        let seq = st.seq;
-        st.seq += 1;
-        st.raw.push_back(Job {
-            req,
-            index,
-            reply,
-            seq,
-        });
+        st.raw.push_back(Job { req, index, reply });
         shared.admitted.fetch_add(1, Ordering::Relaxed);
         strsum_obs::counter(names::SCHED_ADMITTED, "server", 1);
         drop(st);
@@ -267,8 +259,7 @@ impl Scheduler {
         SchedStats {
             admitted: s.admitted.load(Ordering::Relaxed),
             fast_lane: s.fast_lane.load(Ordering::Relaxed),
-            heap: s.heap_pops.load(Ordering::Relaxed),
-            predicted_book: s.predicted_book.load(Ordering::Relaxed),
+            heap: s.queue_pops.load(Ordering::Relaxed),
         }
     }
 
@@ -290,7 +281,7 @@ impl Scheduler {
 /// What a worker pulled from the queues.
 enum Work {
     Raw(Job),
-    Heavy(HeapItem),
+    Heavy(Queued),
 }
 
 fn worker_loop(shared: &Shared) {
@@ -298,13 +289,13 @@ fn worker_loop(shared: &Shared) {
         let work = {
             let mut st = shared.state.lock().expect("scheduler lock");
             loop {
-                // Raw before heap: preparing is cheap, classifies the
-                // request, and keeps the fast lane fed; heap work is the
-                // expensive remainder.
+                // Raw before queued: preparing is cheap, classifies the
+                // request, and keeps the fast lane fed; queued work is
+                // the expensive remainder.
                 if let Some(job) = st.raw.pop_front() {
                     break Work::Raw(job);
                 }
-                if let Some(item) = st.heap.pop() {
+                if let Some(item) = st.queue.pop() {
                     break Work::Heavy(item);
                 }
                 if st.closed {
@@ -321,14 +312,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Prepares one admitted request and either finishes it on the spot
-/// (refusals and the fast lane) or parks it in the cost-ordered heap.
+/// (refusals and the fast lane) or queues it.
 fn run_raw(shared: &Shared, job: Job) {
-    let Job {
-        req,
-        index,
-        reply,
-        seq,
-    } = job;
+    let Job { req, index, reply } = job;
     if shared.opts.policy == Policy::Fifo {
         // Baseline: the whole lifecycle in arrival order, serial.
         let resp = shared.engine.handle(&req);
@@ -337,37 +323,31 @@ fn run_raw(shared: &Shared, job: Job) {
     }
     match shared.engine.prepare(req) {
         Prepared::Done(resp) => complete(shared, &reply, index, resp),
+        Prepared::Task(task) if fast_lane(task.priority(), task.store_present()) => {
+            shared.fast_lane.fetch_add(1, Ordering::Relaxed);
+            strsum_obs::counter(names::SCHED_FAST_LANE, "server", 1);
+            let resp = shared.engine.finish(task, 1);
+            complete(shared, &reply, index, resp);
+        }
         Prepared::Task(task) => {
-            if task.estimate().micros().is_some() {
-                shared.predicted_book.fetch_add(1, Ordering::Relaxed);
-                strsum_obs::counter(names::SCHED_PREDICTED_BOOK, "server", 1);
-            }
-            if fast_lane(&task) {
-                shared.fast_lane.fetch_add(1, Ordering::Relaxed);
-                strsum_obs::counter(names::SCHED_FAST_LANE, "server", 1);
-                let resp = shared.engine.finish(task, 1);
-                complete(shared, &reply, index, resp);
-                return;
-            }
-            let (band, wall) = ljf_band(&task);
             let mut st = shared.state.lock().expect("scheduler lock");
-            st.heap.push(HeapItem {
-                task: Box::new(task),
-                index,
-                reply,
-                band,
-                wall,
-                seq,
-            });
+            st.queue.push(
+                task.priority(),
+                Queued {
+                    task: Box::new(task),
+                    index,
+                    reply,
+                },
+            );
             drop(st);
             shared.work_cv.notify_one();
         }
     }
 }
 
-/// Finishes one heap task.
-fn run_heavy(shared: &Shared, item: HeapItem) {
-    shared.heap_pops.fetch_add(1, Ordering::Relaxed);
+/// Finishes one queued task.
+fn run_heavy(shared: &Shared, item: Queued) {
+    shared.queue_pops.fetch_add(1, Ordering::Relaxed);
     strsum_obs::counter(names::SCHED_HEAP, "server", 1);
     let resp = shared.engine.finish(*item.task, 1);
     complete(shared, &item.reply, item.index, resp);
@@ -387,39 +367,6 @@ fn complete(
     st.pending = st.pending.saturating_sub(1);
     drop(st);
     shared.space_cv.notify_one();
-}
-
-/// Whether a prepared task finishes on the fast lane: store hits (one
-/// bounded re-verification), interactive requests, and predicted-cheap
-/// syntheses. Bulk never rides the fast lane; unknown cost goes to the
-/// heap so a surprise 30-second loop can't block the lane.
-fn fast_lane(task: &PreparedTask) -> bool {
-    if task.priority() == Priority::Bulk {
-        return false;
-    }
-    if task.store_present() || task.priority() == Priority::Interactive {
-        return true;
-    }
-    match task.estimate() {
-        CostEstimate::Row(m) => m < SERIAL_CUTOFF_MICROS,
-        // A capped row is a *lower bound*: even a small recorded wall
-        // means "at least this much", so never fast-lane it.
-        CostEstimate::CappedRow(_) | CostEstimate::Unknown => false,
-    }
-}
-
-/// The heap band and predicted wall for one task — the `ljf_order`
-/// policy translated to heap rank (higher band pops first).
-fn ljf_band(task: &PreparedTask) -> (u8, u64) {
-    let wall = task.estimate().micros().unwrap_or(0);
-    if task.priority() == Priority::Bulk {
-        return (0, wall);
-    }
-    match task.estimate() {
-        CostEstimate::CappedRow(_) => (3, wall),
-        CostEstimate::Unknown => (2, 0),
-        CostEstimate::Row(_) => (1, wall),
-    }
 }
 
 #[cfg(test)]
@@ -519,21 +466,58 @@ mod tests {
     }
 
     #[test]
-    fn heap_rank_follows_the_ljf_policy() {
-        // Band beats wall beats admission order; within a band, larger
-        // predicted wall first; within a tie, earlier admission first.
-        let mk = |band: u8, wall: u64, seq: u64| (band, wall, std::cmp::Reverse(seq));
-        let capped = mk(3, 10, 5);
-        let unknown = mk(2, 0, 9);
-        let trusted_big = mk(1, 1_000_000, 7);
-        let trusted_small = mk(1, 10, 2);
-        let bulk = mk(0, u64::MAX, 0);
-        let mut ranks = [bulk, trusted_small, trusted_big, unknown, capped];
-        ranks.sort();
-        ranks.reverse(); // max-heap pop order
-        assert_eq!(ranks, [capped, unknown, trusted_big, trusted_small, bulk]);
-        let earlier = mk(1, 10, 1);
-        assert!(earlier > trusted_small, "ties pop in admission order");
+    fn queue_pops_normal_before_bulk_in_admission_order() {
+        use Priority::{Bulk, Interactive, Normal};
+        let mut queue = RunQueue::new();
+        for (seq, priority) in [Bulk, Normal, Bulk, Normal, Normal].into_iter().enumerate() {
+            queue.push(priority, seq);
+        }
+        assert_eq!(queue.pop(), Some(1));
+        // A normal task admitted behind waiting bulk ones still pops
+        // ahead of them.
+        queue.push(Normal, 5);
+        let order: Vec<usize> = std::iter::from_fn(|| queue.pop()).collect();
+        assert_eq!(order, [3, 4, 5, 0, 2]);
+        // Interactive and store-present tasks never wait in the queue;
+        // bulk always does.
+        for (priority, store_present, fast) in [
+            (Interactive, false, true),
+            (Interactive, true, true),
+            (Normal, true, true),
+            (Normal, false, false),
+            (Bulk, true, false),
+            (Bulk, false, false),
+        ] {
+            assert_eq!(
+                fast_lane(priority, store_present),
+                fast,
+                "{priority:?}, store present {store_present}"
+            );
+        }
+    }
+
+    #[test]
+    fn store_hits_and_interactive_requests_take_the_fast_lane() {
+        let (engine, dir) = tmp_engine("lanes");
+        let sched = Scheduler::start(Arc::clone(&engine), SchedOptions::scheduled(1));
+        let until_nul = "char* loopFunction(char* s) {\n  while (*s) s++;\n  return s;\n}\n";
+        for (i, req) in [
+            SummaryRequest::c("cold", SKIP),
+            SummaryRequest::c("hit", SKIP),
+            SummaryRequest::c("i", until_nul).priority(Priority::Interactive),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (reply, done) = channel();
+            sched.submit(req, i, reply);
+            let (_, resp) = done.recv().expect("answered");
+            assert!(resp.summary.is_some(), "{}: {:?}", resp.id, resp.failure);
+        }
+        let stats = sched.stats();
+        assert_eq!((stats.heap, stats.fast_lane), (1, 2), "{stats:?}");
+        sched.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -552,7 +536,7 @@ mod tests {
         }
         let stats = sched.stats();
         assert_eq!(stats.fast_lane, 0, "fifo has no fast lane");
-        assert_eq!(stats.heap, 0, "fifo has no heap");
+        assert_eq!(stats.heap, 0, "fifo has no queue");
         sched.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }

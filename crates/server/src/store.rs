@@ -13,9 +13,9 @@
 //! the in-memory map changes, so a crash loses at most the line being
 //! written. On open, logs are replayed; a corrupted or truncated line —
 //! the torn tail a crash leaves — is dropped with a counted warning,
-//! mirroring the `CostBook` malformed-line counter, and every *complete*
-//! line before and after it still loads. Compaction rewrites a shard as
-//! a fresh log of live entries via temp-file + atomic rename.
+//! and every *complete* line before and after it still loads.
+//! Compaction rewrites a shard as a fresh log of live entries via
+//! temp-file + atomic rename.
 //!
 //! **Soundness.** The store inherits the summary-cache contract: a
 //! looked-up program is *unverified* with respect to the caller's loop.
@@ -28,8 +28,8 @@
 //! opaque verdict records (the engine's memo of deterministic negative
 //! outcomes), keyed by a [`VerdictKey`] rather than a fingerprint. They
 //! share the shard's log, checksums, torn-tail dropping, replay and
-//! compaction, but live in their own namespace: [`ShardedStore::lookup`],
-//! [`ShardedStore::len`] and [`ShardedStore::evict_cold`] never see them.
+//! compaction, but live in their own namespace: [`ShardedStore::lookup`]
+//! and [`ShardedStore::len`] never see them.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use strsum_corpus::{fingerprint_hash, CostBook};
+use strsum_corpus::fingerprint_hash;
 
 /// Default shard count ([`ShardedStore::open`] with `shards = 0`).
 pub const DEFAULT_SHARDS: usize = 8;
@@ -342,37 +342,6 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Evicts entries until at most `capacity` remain, coldest first.
-    ///
-    /// "Cold" is *cheap to recompute*: victims are chosen by ascending
-    /// recorded synthesis cost from `book` (conflicts, then wall clock),
-    /// so expensive-to-recompute summaries are effectively pinned.
-    /// Entries with no cost record sort cheapest — nothing is known to
-    /// argue for keeping them. Evictions are tombstoned through the log
-    /// like any removal. Returns the number evicted.
-    pub fn evict_cold(&self, book: &CostBook, capacity: usize) -> std::io::Result<usize> {
-        let excess = self.len().saturating_sub(capacity);
-        if excess == 0 {
-            return Ok(0);
-        }
-        let mut candidates: Vec<(u64, u64, Vec<u64>)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.map.read().expect("store shard lock poisoned");
-            for fp in map.keys() {
-                let cost = book.get(fingerprint_hash(fp)).unwrap_or_default();
-                candidates.push((cost.conflicts, cost.wall_micros, fp.clone()));
-            }
-        }
-        candidates.sort();
-        let mut evicted = 0usize;
-        for (_, _, fp) in candidates.into_iter().take(excess) {
-            self.remove(&fp)?;
-            evicted += 1;
-        }
-        strsum_obs::counter(strsum_obs::names::STORE_EVICTED, "server", evicted as u64);
-        Ok(evicted)
-    }
-
     /// Total live summary entries across all shards (verdicts are not
     /// entries; see [`ShardedStore::verdict_count`]).
     pub fn len(&self) -> usize {
@@ -473,36 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_keeps_expensive_summaries() {
-        let dir = tmp_dir("evict");
-        let store = ShardedStore::open(&dir, 2).unwrap();
-        let mut book = CostBook::new();
-        for i in 0..10u64 {
-            let fp = vec![i];
-            store.insert(fp.clone(), vec![i as u8]).unwrap();
-            book.record(
-                fingerprint_hash(&fp),
-                strsum_corpus::CostStat {
-                    conflicts: i * 1000,
-                    wall_micros: i * 50,
-                    ..Default::default()
-                },
-            );
-        }
-        let evicted = store.evict_cold(&book, 4).unwrap();
-        assert_eq!(evicted, 6);
-        assert_eq!(store.len(), 4);
-        for i in 6..10u64 {
-            assert!(
-                store.lookup(&[i]).is_some(),
-                "expensive entry {i} must be pinned"
-            );
-        }
-        assert_eq!(store.evict_cold(&book, 4).unwrap(), 0, "already at cap");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn verdict_lines_round_trip_and_reject_corruption() {
         let line = render_line('!', &[u64::MAX, 7], b"not_memoryless\nwhy");
         assert_eq!(
@@ -543,11 +482,6 @@ mod tests {
         // Removing the summary leaves the verdict under the same words.
         store.remove(&key).unwrap();
         assert_eq!(store.verdict(&key), Some(b"new".to_vec()));
-        // Eviction to zero entries touches no verdict.
-        let evicted = store.evict_cold(&CostBook::new(), 0).unwrap();
-        assert_eq!(evicted, 0, "no summaries left to evict");
-        store.insert(vec![9], b"P".to_vec()).unwrap();
-        assert_eq!(store.evict_cold(&CostBook::new(), 0).unwrap(), 1);
         assert_eq!(store.verdict_count(), 2);
         // Compaction keeps the live verdicts (and only the newest record).
         store.compact().unwrap();
