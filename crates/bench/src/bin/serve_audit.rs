@@ -28,8 +28,11 @@
 //!   `reverified == store_hits + rejected` with `rejected == 0` (memo
 //!   answers are not store hits).
 //!
-//! Serving metrics (throughput, p50/p99 latency, store hit rate) land
-//! in `results/BENCH_pr8.json` for the CI artifact.
+//! Serving metrics land in `results/BENCH_pr8.json` for the CI
+//! artifact: throughput, p50/p99 *service* time (each response's
+//! `cost.wall_micros` — preparation plus resolution, never queue wait),
+//! each wire client's batch round trip (send to reply: the latency the
+//! client observes, queue wait included), and the store hit rate.
 //!
 //! A fourth phase benchmarks the cross-request scheduler: a mixed
 //! cold/warm workload (half the loops pre-warmed into the store, the
@@ -140,16 +143,47 @@ fn memo_violations(
     violations
 }
 
+/// What one daemon lifetime served.
+struct Served {
+    responses: Vec<SummaryResponse>,
+    stats: EngineStats,
+    sched: SchedStats,
+    /// Serving wall clock: first send to last reply.
+    secs: f64,
+    /// Each client's batch round trip, send to reply, in client order.
+    round_trips: Vec<u64>,
+}
+
+impl Served {
+    /// Median and p99 of the responses' service times.
+    fn service_percentiles(&self) -> (u64, u64) {
+        let mut service: Vec<u64> = self.responses.iter().map(|r| r.cost.wall_micros).collect();
+        service.sort_unstable();
+        (percentile(&service, 50.0), percentile(&service, 99.0))
+    }
+
+    /// The clients' round trips as a JSON array.
+    fn round_trips_json(&self) -> String {
+        let items: Vec<String> = self.round_trips.iter().map(u64::to_string).collect();
+        format!("[{}]", items.join(", "))
+    }
+
+    /// The longest client round trip, in seconds.
+    fn slowest_client_secs(&self) -> f64 {
+        self.round_trips.iter().copied().max().unwrap_or(0) as f64 / 1e6
+    }
+}
+
 /// One daemon lifetime: open the store, serve `batches` from concurrent
-/// wire clients over a Unix socket, drain, compact, return the answers
-/// with the engine + scheduler counters and the serving wall clock.
+/// wire clients over a Unix socket, drain, compact, return what it
+/// served.
 fn daemon_phase(
     store: &Path,
     socket: &Path,
     cfg: &SynthesisConfig,
     opts: SchedOptions,
     batches: &[BatchRequest],
-) -> (Vec<SummaryResponse>, EngineStats, SchedStats, f64) {
+) -> Served {
     let engine = Engine::open(store, 0, cfg.clone()).expect("open engine");
     let daemon = Arc::new(Daemon::with_options(Arc::new(engine), opts));
     let stop = Arc::new(AtomicBool::new(false));
@@ -166,26 +200,31 @@ fn daemon_phase(
         .cloned()
         .map(|batch| {
             let socket = socket.to_path_buf();
-            std::thread::spawn(move || -> Vec<SummaryResponse> {
+            std::thread::spawn(move || -> (Vec<SummaryResponse>, u64) {
                 let mut stream = connect_with_retry(&socket);
                 let mut line = encode_frame(&Frame::Batch(batch));
                 line.push('\n');
+                let sent = Instant::now();
                 stream.write_all(line.as_bytes()).expect("send batch");
                 let mut reader = BufReader::new(stream);
                 let mut reply = String::new();
                 reader.read_line(&mut reply).expect("read batch response");
+                let round_trip = u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX);
                 match decode_frame(reply.trim_end()).expect("decode batch response") {
-                    Frame::BatchResponse(b) => b.responses,
+                    Frame::BatchResponse(b) => (b.responses, round_trip),
                     other => panic!("unexpected reply frame: {other:?}"),
                 }
             })
         })
         .collect();
     let mut responses = Vec::new();
+    let mut round_trips = Vec::new();
     for c in clients {
-        responses.extend(c.join().expect("client thread"));
+        let (answers, round_trip) = c.join().expect("client thread");
+        responses.extend(answers);
+        round_trips.push(round_trip);
     }
-    let elapsed = start.elapsed().as_secs_f64();
+    let secs = start.elapsed().as_secs_f64();
 
     let stats = daemon.engine().stats();
     let sched = daemon.sched_stats();
@@ -199,7 +238,13 @@ fn daemon_phase(
         .expect("all daemon handles released")
         .shutdown()
         .expect("daemon drain");
-    (responses, stats, sched, elapsed)
+    Served {
+        responses,
+        stats,
+        sched,
+        secs,
+        round_trips,
+    }
 }
 
 /// The server thread races the clients to the bind; retry briefly.
@@ -277,7 +322,12 @@ fn main() -> ExitCode {
     let mut violations: Vec<String> = Vec::new();
 
     // ---- Phase 1: cold daemon, empty store ---------------------------
-    let (cold, cold_stats, _, cold_secs) = daemon_phase(
+    let Served {
+        responses: cold,
+        stats: cold_stats,
+        secs: cold_secs,
+        ..
+    } = daemon_phase(
         &store,
         &socket,
         &cfg,
@@ -337,13 +387,14 @@ fn main() -> ExitCode {
     }
 
     // ---- Phase 2: daemon restart over the same store -----------------
-    let (warm, warm_stats, _, warm_secs) = daemon_phase(
+    let warm_phase = daemon_phase(
         &store,
         &socket,
         &cfg,
         SchedOptions::scheduled(threads),
         &batches,
     );
+    let (warm, warm_stats, warm_secs) = (&warm_phase.responses, warm_phase.stats, warm_phase.secs);
     println!(
         "warm:  {loops} answers in {warm_secs:.2}s  ({} hits, {} misses, {} reverified, {} memo)",
         warm_stats.store_hits,
@@ -353,9 +404,9 @@ fn main() -> ExitCode {
     );
     let cold_by_id: HashMap<&str, &SummaryResponse> =
         cold.iter().map(|r| (r.id.as_str(), r)).collect();
-    violations.extend(memo_violations("warm", &cold_by_id, &warm, &warm_stats));
+    violations.extend(memo_violations("warm", &cold_by_id, warm, &warm_stats));
     let mut expected_hits = 0u64;
-    for resp in &warm {
+    for resp in warm {
         let before = cold_by_id[resp.id.as_str()];
         if let Some(bytes) = &before.summary {
             expected_hits += 1;
@@ -433,10 +484,17 @@ fn main() -> ExitCode {
     }];
     let memo_store = scratch.join("store-memo");
     let opts = SchedOptions::scheduled(threads);
-    let (tail_cold, _, _, tail_cold_secs) =
-        daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
-    let (tail_warm, tail_stats, _, tail_warm_secs) =
-        daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
+    let Served {
+        responses: tail_cold,
+        secs: tail_cold_secs,
+        ..
+    } = daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
+    let Served {
+        responses: tail_warm,
+        stats: tail_stats,
+        secs: tail_warm_secs,
+        ..
+    } = daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
     println!(
         "tail:  {tail_loops} capped loops in {tail_cold_secs:.2}s, restarted {tail_warm_secs:.2}s ({} memo)",
         tail_stats.verdict_hits
@@ -456,15 +514,13 @@ fn main() -> ExitCode {
     }
 
     // ---- Metrics + artifact ------------------------------------------
-    let mut lat: Vec<u64> = warm.iter().map(|r| r.cost.wall_micros).collect();
-    lat.sort_unstable();
-    let p50 = percentile(&lat, 50.0);
-    let p99 = percentile(&lat, 99.0);
+    let (p50, p99) = warm_phase.service_percentiles();
     let throughput = loops as f64 / warm_secs.max(1e-9);
     let hit_rate = warm_stats.store_hits as f64
         / (warm_stats.store_hits + warm_stats.store_misses).max(1) as f64;
     println!(
-        "warm serving: {throughput:.1} req/s, p50 {p50}µs, p99 {p99}µs, hit rate {:.0}%",
+        "warm serving: {throughput:.1} req/s, service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, hit rate {:.0}%",
+        warm_phase.slowest_client_secs(),
         hit_rate * 100.0
     );
 
@@ -486,7 +542,8 @@ fn main() -> ExitCode {
     );
     let _ = writeln!(
         json,
-        "  \"warm\": {{\"elapsed_secs\": {warm_secs:.3}, \"throughput_rps\": {throughput:.2}, \"p50_latency_micros\": {p50}, \"p99_latency_micros\": {p99}, \"store_hit_rate\": {hit_rate:.4}, \"stats\": {}}},",
+        "  \"warm\": {{\"elapsed_secs\": {warm_secs:.3}, \"throughput_rps\": {throughput:.2}, \"p50_service_micros\": {p50}, \"p99_service_micros\": {p99}, \"client_round_trip_micros\": {}, \"store_hit_rate\": {hit_rate:.4}, \"stats\": {}}},",
+        warm_phase.round_trips_json(),
         warm_stats.to_json()
     );
     let _ = writeln!(
@@ -554,16 +611,16 @@ fn main() -> ExitCode {
         // Pre-warm: populate the store with the warm half, then
         // measure a fresh daemon over it.
         daemon_phase(&store, &socket, &cfg, opts, &prewarm);
+        let served = daemon_phase(&store, &socket, &cfg, opts, &mixed_batches);
         let (responses, stats, sched, secs) =
-            daemon_phase(&store, &socket, &cfg, opts, &mixed_batches);
+            (&served.responses, served.stats, served.sched, served.secs);
         let throughput = mixed.len() as f64 / secs.max(1e-9);
         throughputs.push(throughput);
-        let mut lat: Vec<u64> = responses.iter().map(|r| r.cost.wall_micros).collect();
-        lat.sort_unstable();
-        let (p50, p99) = (percentile(&lat, 50.0), percentile(&lat, 99.0));
+        let (p50, p99) = served.service_percentiles();
         println!(
-            "mixed/{name}: {} answers in {secs:.2}s ({throughput:.1} req/s), p50 {p50}µs, p99 {p99}µs, {} hits, fast-lane {}, heap {}",
+            "mixed/{name}: {} answers in {secs:.2}s ({throughput:.1} req/s), service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, {} hits, fast-lane {}, heap {}",
             responses.len(),
+            served.slowest_client_secs(),
             stats.store_hits,
             sched.fast_lane,
             sched.heap
@@ -571,7 +628,7 @@ fn main() -> ExitCode {
         // Byte identity against the phase-1 cold answers (the batch
         // reference transitively): scheduling must be invisible in the
         // bytes, whatever the mode.
-        for resp in &responses {
+        for resp in responses {
             let Some(before) = cold_by_id.get(resp.id.as_str()) else {
                 sched_violations.push(format!("{name}/{}: unknown id", resp.id));
                 continue;
@@ -593,7 +650,8 @@ fn main() -> ExitCode {
             ));
         }
         mode_json.push(format!(
-            "  \"{name}\": {{\"elapsed_secs\": {secs:.3}, \"throughput_rps\": {throughput:.2}, \"p50_latency_micros\": {p50}, \"p99_latency_micros\": {p99}, \"stats\": {}, \"sched\": {}}},",
+            "  \"{name}\": {{\"elapsed_secs\": {secs:.3}, \"throughput_rps\": {throughput:.2}, \"p50_service_micros\": {p50}, \"p99_service_micros\": {p99}, \"client_round_trip_micros\": {}, \"stats\": {}, \"sched\": {}}},",
+            served.round_trips_json(),
             stats.to_json(),
             sched.to_json()
         ));

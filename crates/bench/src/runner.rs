@@ -19,9 +19,10 @@
 //!    a group (with it off, every loop is its own group, and requests
 //!    bypass the store). Each group runs on one worker, members in
 //!    corpus order: the first synthesises and publishes, each later one
-//!    re-verifies the published summary against its own loop, and
-//!    synthesises and publishes its own when there is none or it is
-//!    rejected;
+//!    re-verifies the published summary against its own loop, is
+//!    answered from the verdict memo when there is none but an earlier
+//!    member of the same source and config left a deterministic
+//!    negative, and otherwise synthesises and publishes its own;
 //! 4. **retry** — the quarantine lane re-runs budget-exhausted loops
 //!    with an escalated budget, bypassing the store.
 //!
@@ -33,10 +34,12 @@
 //! [`crate::par_map`] (or a [`crate::par_map_ordered`] whose output is
 //! still slotted by original index), and the store traffic of a
 //! fingerprint group happens on one worker in corpus order — so results,
-//! cache-hit patterns, and the aggregated metrics table are all
-//! independent of thread scheduling *and* of the dispatch schedule
+//! cache-hit patterns, memo answers, and the aggregated metrics table are
+//! all independent of thread scheduling *and* of the dispatch schedule
 //! (budget-exhaustion verdicts remain wall-clock-dependent — the audits
-//! classify those as timing races).
+//! classify those as timing races). Serialising a group is also what
+//! keeps the engine's single flight idle here: no two resolves of one
+//! fingerprint ever overlap, so no batch worker waits on another.
 
 use std::fs;
 use std::io::Write as _;
@@ -44,7 +47,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use strsum_api::{LoopSpec, RequestFlags, RequestSpec, Scope, SummaryRequest, SummaryResponse};
+use strsum_api::{
+    LoopSpec, Origin, RequestFlags, RequestSpec, Scope, SummaryRequest, SummaryResponse,
+};
 use strsum_core::{
     Budget, BudgetKind, LoopOutcome, SolverTelemetry, Summary, SummaryKind, SynthStats,
     SynthesisConfig,
@@ -532,7 +537,7 @@ impl CorpusRunner {
     /// `par_map` worker; a forced `Unknown` or an expired deadline doctors
     /// the task's config so the ordinary budget machinery classifies it.
     /// A fresh synthesis leaves its cost row in `costs`; a served store
-    /// hit leaves none.
+    /// hit and a memo answer leave none.
     fn resolve(
         &self,
         engine: &Engine,
@@ -551,7 +556,7 @@ impl CorpusRunner {
         }
         let key = task.key();
         let r = engine.resolve(task);
-        if r.outcome != LoopOutcome::CacheHit {
+        if r.origin == Origin::Fresh {
             costs.lock().expect("cost rows").record(key, cost_row(&r));
         }
         resolved(entry, r)
@@ -904,8 +909,8 @@ mod tests {
 
     /// Phase 3 leaves one cost row per main-lane fresh synthesis, tagged
     /// with that synthesis's outcome; a served store hit, a refusal and
-    /// a retry round leave none. (A memo answer, like a refusal,
-    /// resolves while its loop is prepared and never reaches phase 3.)
+    /// a retry round leave none. (A memo answer leaves none either,
+    /// whether it resolves while its loop is prepared or in phase 3.)
     /// Persisting merges the rows into the book at a scratch path.
     #[test]
     fn main_lane_fresh_syntheses_leave_one_cost_row_each() {
@@ -981,6 +986,59 @@ mod tests {
         let untouched = scratch.0.join("empty.tsv");
         merge_costs_into(&CostBook::new(), &untouched).unwrap();
         assert!(!untouched.exists(), "nothing recorded, nothing written");
+    }
+
+    /// `git_05` and `awk_02` are one source that exhausts the profile's
+    /// 1500-conflict cap. Admitted together, the second is answered from
+    /// the verdict memo the first left: no effort, the same failure, no
+    /// cost row — at any thread count.
+    #[test]
+    fn a_duplicate_capped_loop_is_answered_from_the_memo() {
+        let corpus = strsum_corpus::corpus();
+        let entries: Vec<LoopEntry> = ["git_05", "awk_02"]
+            .iter()
+            .map(|id| corpus.iter().find(|e| e.id == *id).unwrap().clone())
+            .collect();
+        assert_eq!(entries[0].source, entries[1].source);
+        let run = |threads: usize| {
+            let mut runner = CorpusRunner::new(PlanSpec::serial().corpus_order());
+            runner.cache = true;
+            runner.threads = threads;
+            runner.cfg.budget = runner.cfg.budget.with_solver_conflicts(1500);
+            runner.execute(&entries)
+        };
+        let serial = run(1);
+        let [first, second] = [&serial.results[0], &serial.results[1]];
+        let capped = LoopOutcome::BudgetExhausted(BudgetKind::SolverConflicts);
+        assert_eq!(first.outcome, capped, "{:?}", first.failure);
+        assert!(first.stats.solver.total().conflicts > 0);
+        assert_eq!(second.outcome, capped);
+        assert_eq!(second.failure, first.failure);
+        assert_eq!(second.stats.exhausted, Some(BudgetKind::SolverConflicts));
+        assert_eq!(second.stats.solver.total().conflicts, 0, "no effort");
+        assert_eq!(second.stats.iterations, 0);
+        assert_eq!(second.elapsed, Duration::ZERO);
+        // Both copies share one key, so a row from the memo answer would
+        // overwrite the first copy's.
+        let func = strsum_cfront::compile_one(&entries[0].source).unwrap();
+        let key = strsum_corpus::fingerprint_hash(&strsum_core::loop_fingerprint(
+            &func,
+            SynthesisConfig::default().max_ex_size,
+        ));
+        let first_row = serial.costs.get(key).expect("the first copy's row");
+        assert_eq!(first_row.conflicts, first.stats.solver.total().conflicts);
+        assert_eq!(serial.costs.len(), 1, "{}", serial.costs.dump());
+        let parallel = run(2);
+        let effort = |r: &LoopSynth| (r.stats.solver.total().conflicts, r.stats.iterations);
+        for (a, b) in serial.results.iter().zip(&parallel.results) {
+            assert_eq!(
+                (&a.outcome, &a.failure, effort(a)),
+                (&b.outcome, &b.failure, effort(b)),
+                "{}",
+                a.entry.id
+            );
+        }
+        assert_eq!(parallel.costs.len(), 1);
     }
 
     /// Unknown loop ids resolve to `App::External`; corpus ids inherit

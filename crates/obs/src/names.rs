@@ -48,6 +48,9 @@ pub const STORE_REJECTED: &str = "store.rejected";
 pub const STORE_VERDICT_HIT: &str = "store.verdict_hit";
 /// One deterministic negative was recorded into the verdict memo.
 pub const STORE_VERDICT_STORED: &str = "store.verdict_stored";
+/// One resolve waited for another resolve of the same fingerprint to
+/// return before it looked at the store (the engine's single flight).
+pub const FLIGHT_WAIT: &str = "engine.flight_waits";
 
 /// One request admitted to the daemon scheduler's run queue.
 pub const SCHED_ADMITTED: &str = "sched.admitted";

@@ -28,13 +28,36 @@
 //! hash of the compiled IR's printed form and a hash of the entire
 //! effective [`SynthesisConfig`]. [`Engine::resolve`] records every
 //! deterministic negative ([`memoizable`]) under the config the synthesis
-//! actually ran with; [`Engine::prepare`] answers a request whose exact
-//! key holds a record straight from the store (`origin: memo`), but only
-//! when the store holds no summary for its fingerprint. `flags.store =
-//! false` neither reads nor writes the memo.
+//! actually ran with. The memo is probed twice, each time only when the
+//! store holds no summary for the fingerprint: [`Engine::prepare`]
+//! answers a request whose exact key holds a record straight from the
+//! store (`origin: memo`), and [`Engine::resolve`] probes again after
+//! its store lookup misses, before it synthesises, so a duplicate
+//! admitted before its twin resolved is still answered from the record
+//! the twin left. Both answers carry the outcome and failure as
+//! recorded, no summary, no telemetry and 0 conflicts, and encode the
+//! same bytes but for `cost.wall_micros`. `flags.store = false` neither
+//! reads nor writes the memo.
+//!
+//! **Single flight.** A task that uses the store and whose fingerprint
+//! the store did not hold at admission takes that fingerprint's flight
+//! for the length of its resolve; a second such task with the same
+//! fingerprint hash waits until the first returns (counted in
+//! [`EngineStats::flight_waits`], traced as an `engine.flight_wait`
+//! span) and then goes the ordinary way: store lookup (a re-verified
+//! hit on its twin's summary), memo probe (its twin's negative), and
+//! only then its own synthesis. So a fingerprint's expensive work runs
+//! once however many copies arrive together. The wait counts as service
+//! time in the follower's `cost.wall_micros`. A flight is released on
+//! every exit, unwinding included, and a thread waits only before it
+//! takes its one flight, so no two threads can wait on each other.
+//! Store-present tasks (every hit) and `flags.store = false` requests
+//! never touch the flight map.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use strsum_api::{parse_outcome, Origin, SourceSpec, SummaryRequest, SummaryResponse};
@@ -53,7 +76,7 @@ use crate::store::{fnv1a, ShardedStore, VerdictKey};
 /// persistent store went through the bounded checker in this process
 /// lifetime, whether it was then served or tombstoned. Verdict-memo hits
 /// are neither store hits nor misses: they serve no summary and run no
-/// synthesis.
+/// synthesis, whether the memo answered at admission or at resolve time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests served a store summary (after re-verification).
@@ -68,18 +91,22 @@ pub struct EngineStats {
     pub verdict_hits: u64,
     /// Deterministic negatives recorded into the verdict memo.
     pub verdicts_stored: u64,
+    /// Resolves that waited for another resolve of the same fingerprint
+    /// to return (the single flight).
+    pub flight_waits: u64,
 }
 
 impl strsum_obs::ToJson for EngineStats {
     fn to_json(&self) -> String {
         format!(
-            "{{\"store_hits\":{},\"store_misses\":{},\"reverified\":{},\"rejected\":{},\"verdict_hits\":{},\"verdicts_stored\":{}}}",
+            "{{\"store_hits\":{},\"store_misses\":{},\"reverified\":{},\"rejected\":{},\"verdict_hits\":{},\"verdicts_stored\":{},\"flight_waits\":{}}}",
             self.store_hits,
             self.store_misses,
             self.reverified,
             self.rejected,
             self.verdict_hits,
-            self.verdicts_stored
+            self.verdicts_stored,
+            self.flight_waits
         )
     }
 }
@@ -143,14 +170,20 @@ pub struct Resolution {
     /// The loop's outcome; `CacheHit` exactly when a store hit was
     /// re-verified and served.
     pub outcome: LoopOutcome,
+    /// Where the answer came from: `Store` for a served hit, `Memo` for
+    /// a verdict-memo record (no summary, no effort, zero `elapsed`),
+    /// `Fresh` for a synthesis.
+    pub origin: Origin,
     /// The summary with its encoded bytes. A served hit carries the
     /// stored bytes verbatim.
     pub summary: Option<(Summary, Vec<u8>)>,
     /// The fresh synthesis's full statistics, screen counters included.
     /// A served hit carries only its re-verification effort, as
-    /// `solver.verify`.
+    /// `solver.verify`; a memo answer only the recorded failure and the
+    /// budget axis its outcome names.
     pub stats: SynthStats,
-    /// Synthesis time, or re-verification time for a served hit.
+    /// Synthesis time, or re-verification time for a served hit; zero
+    /// for a memo answer. Never includes a single-flight wait.
     pub elapsed: Duration,
     /// The effort a store hit spent failing re-verification before the
     /// fresh synthesis in `stats` ran; `None` when no hit was rejected.
@@ -171,6 +204,12 @@ pub struct Engine {
     rejected: AtomicU64,
     verdict_hits: AtomicU64,
     verdicts_stored: AtomicU64,
+    flight_waits: AtomicU64,
+    /// Fingerprint hashes with a resolve in flight; see "Single flight"
+    /// in the module docs.
+    flights: Mutex<HashSet<u64>>,
+    /// Signalled whenever a flight lands.
+    landed: Condvar,
 }
 
 impl Engine {
@@ -188,6 +227,9 @@ impl Engine {
             rejected: AtomicU64::new(0),
             verdict_hits: AtomicU64::new(0),
             verdicts_stored: AtomicU64::new(0),
+            flight_waits: AtomicU64::new(0),
+            flights: Mutex::new(HashSet::new()),
+            landed: Condvar::new(),
         })
     }
 
@@ -205,6 +247,7 @@ impl Engine {
             rejected: self.rejected.load(Ordering::Relaxed),
             verdict_hits: self.verdict_hits.load(Ordering::Relaxed),
             verdicts_stored: self.verdicts_stored.load(Ordering::Relaxed),
+            flight_waits: self.flight_waits.load(Ordering::Relaxed),
         }
     }
 
@@ -274,8 +317,8 @@ impl Engine {
         let key = fingerprint_hash(&fp);
         let store_present = req.flags.store && self.store.lookup(&fp).is_some();
         if req.flags.store && !store_present {
-            if let Some(resp) = self.memo_answer(&req, &func, &cfg) {
-                return done(resp);
+            if let Some((outcome, failure)) = self.memo_verdict(&func, &cfg) {
+                return done(memo_response(req.id, outcome, failure));
             }
         }
         let prep_micros = micros_since(start);
@@ -292,8 +335,8 @@ impl Engine {
 
     /// The back half of the lifecycle, rendered as the wire response:
     /// [`Engine::resolve`] plus the response fields. Response
-    /// `cost.wall_micros` is service time (preparation plus this call),
-    /// never queue wait.
+    /// `cost.wall_micros` is service time (preparation plus this call,
+    /// a single-flight wait included), never queue wait.
     ///
     /// The second argument is ignored. It once granted a cube width and
     /// stays only because the `profile` benchmark calls `finish(task, 1)`.
@@ -302,34 +345,47 @@ impl Engine {
         let prep_micros = task.prep_micros;
         let id = task.req.id.clone();
         let r = self.resolve(task);
-        let mut resp = SummaryResponse::new(id, r.outcome);
-        if resp.outcome == LoopOutcome::CacheHit {
-            resp.origin = Origin::Store;
-            resp.reverified = true;
-        }
-        resp.failure = r.stats.failure;
-        resp.cost.conflicts = r.stats.solver.total().conflicts;
-        resp.telemetry = Some(r.stats.solver);
-        if let Some((summary, bytes)) = r.summary {
-            // Surface the lane on the wire for closed forms; gadget
-            // answers keep the fields omitted (v1-compatible,
-            // `summary_kind()` derives Gadget).
-            if summary.closed_form().is_some() {
-                resp.kind = Some(summary.kind());
-                resp.closed_form = Some(bytes.clone());
+        let mut resp = if r.origin == Origin::Memo {
+            memo_response(id, r.outcome, r.stats.failure)
+        } else {
+            let mut resp = SummaryResponse::new(id, r.outcome);
+            resp.origin = r.origin;
+            resp.reverified = r.origin == Origin::Store;
+            resp.failure = r.stats.failure;
+            resp.cost.conflicts = r.stats.solver.total().conflicts;
+            resp.telemetry = Some(r.stats.solver);
+            if let Some((summary, bytes)) = r.summary {
+                // Surface the lane on the wire for closed forms; gadget
+                // answers keep the fields omitted (v1-compatible,
+                // `summary_kind()` derives Gadget).
+                if summary.closed_form().is_some() {
+                    resp.kind = Some(summary.kind());
+                    resp.closed_form = Some(bytes.clone());
+                }
+                resp.summary = Some(bytes);
             }
-            resp.summary = Some(bytes);
-        }
+            resp
+        };
         resp.cost.wall_micros = prep_micros.saturating_add(micros_since(start));
         resp
     }
 
     /// The back half of the lifecycle: store lookup with mandatory
-    /// re-verification, fresh synthesis on miss, and publish.
+    /// re-verification, then on a miss the verdict memo, then fresh
+    /// synthesis and publish — under the fingerprint's single flight
+    /// when the task uses the store and the store did not hold its
+    /// fingerprint at admission.
     pub fn resolve(&self, task: PreparedTask) -> Resolution {
         let PreparedTask {
-            req, func, fp, cfg, ..
+            req,
+            func,
+            fp,
+            key,
+            cfg,
+            store_present,
+            ..
         } = task;
+        let _flight = (req.flags.store && !store_present).then(|| self.take_flight(key, &req.id));
 
         // 4. Store lookup by semantic fingerprint; every hit re-verifies
         //    against *this* loop before serving (fingerprint match is
@@ -358,6 +414,7 @@ impl Engine {
                     strsum_obs::counter(names::STORE_HIT, "server", 1);
                     return Resolution {
                         outcome: LoopOutcome::CacheHit,
+                        origin: Origin::Store,
                         summary: Some((summary, bytes)),
                         stats: SynthStats {
                             solver: SolverTelemetry {
@@ -376,6 +433,30 @@ impl Engine {
                 strsum_obs::counter(names::STORE_REJECTED, "server", 1);
                 let _ = self.store.remove(&fp);
                 rejected = Some(effort);
+            }
+        }
+        // A miss may still have a memoized verdict: recorded by a
+        // duplicate that resolved after this task was admitted. (After a
+        // rejected hit the store held a summary, so as at admission the
+        // memo is not consulted.)
+        if req.flags.store && rejected.is_none() {
+            if let Some((outcome, failure)) = self.memo_verdict(&func, &cfg) {
+                let exhausted = match outcome {
+                    LoopOutcome::BudgetExhausted(kind) => Some(kind),
+                    _ => None,
+                };
+                return Resolution {
+                    outcome,
+                    origin: Origin::Memo,
+                    summary: None,
+                    stats: SynthStats {
+                        failure,
+                        exhausted,
+                        ..SynthStats::default()
+                    },
+                    elapsed: Duration::ZERO,
+                    rejected: None,
+                };
             }
         }
         self.store_misses.fetch_add(1, Ordering::Relaxed);
@@ -417,6 +498,7 @@ impl Engine {
         });
         Resolution {
             outcome,
+            origin: Origin::Fresh,
             summary,
             stats,
             elapsed,
@@ -424,22 +506,46 @@ impl Engine {
         }
     }
 
-    /// The memoized verdict for a loop under `cfg`, as a response:
-    /// outcome and failure as recorded, no summary, no solver effort.
-    fn memo_answer(
+    /// The memoized verdict for a loop under `cfg` — outcome and failure
+    /// as recorded — counted as a memo hit. Both memo probes go through
+    /// here.
+    fn memo_verdict(
         &self,
-        req: &SummaryRequest,
         func: &strsum_ir::Func,
         cfg: &SynthesisConfig,
-    ) -> Option<SummaryResponse> {
+    ) -> Option<(LoopOutcome, Option<String>)> {
         let record = self.store.verdict(&verdict_key(func, cfg))?;
-        let (outcome, failure) = decode_verdict(&record)?;
+        let verdict = decode_verdict(&record)?;
         self.verdict_hits.fetch_add(1, Ordering::Relaxed);
         strsum_obs::counter(names::STORE_VERDICT_HIT, "server", 1);
-        let mut resp = SummaryResponse::new(req.id.clone(), outcome);
-        resp.origin = Origin::Memo;
-        resp.failure = failure;
-        Some(resp)
+        Some(verdict)
+    }
+
+    /// Takes the single flight of fingerprint hash `key`, first waiting
+    /// for any resolve that holds it to return.
+    fn take_flight(&self, key: u64, id: &str) -> Flight<'_> {
+        let mut flights = self.flight_map();
+        if flights.contains(&key) {
+            self.flight_waits.fetch_add(1, Ordering::Relaxed);
+            strsum_obs::counter(names::FLIGHT_WAIT, "server", 1);
+            let mut span = strsum_obs::span("engine.flight_wait", "server");
+            if span.active() {
+                span.arg_str("id", id.to_string());
+            }
+            flights = self
+                .landed
+                .wait_while(flights, |f| f.contains(&key))
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        flights.insert(key);
+        Flight { engine: self, key }
+    }
+
+    /// The flight map. Every update under the lock is one `insert` or
+    /// `remove`, so the set is whole even if a holder panicked (and a
+    /// landing flight must never panic: it runs while unwinding).
+    fn flight_map(&self) -> MutexGuard<'_, HashSet<u64>> {
+        self.flights.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A NotMemoryless refusal with a failure message — the shape every
@@ -450,6 +556,29 @@ impl Engine {
         resp.failure = Some(failure.to_string());
         resp
     }
+}
+
+/// A held single flight; dropping it — on return or while unwinding —
+/// lands the flight and wakes the fingerprint's waiters.
+struct Flight<'a> {
+    engine: &'a Engine,
+    key: u64,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.engine.flight_map().remove(&self.key);
+        self.engine.landed.notify_all();
+    }
+}
+
+/// A verdict-memo answer: outcome and failure as recorded, no summary,
+/// no telemetry, no solver effort. The caller sets `cost.wall_micros`.
+fn memo_response(id: String, outcome: LoopOutcome, failure: Option<String>) -> SummaryResponse {
+    let mut resp = SummaryResponse::new(id, outcome);
+    resp.origin = Origin::Memo;
+    resp.failure = failure;
+    resp
 }
 
 /// Whether the verdict memo keeps `outcome`: the negatives a re-run under
@@ -920,6 +1049,182 @@ mod tests {
         let memo = engine.handle(&req);
         assert_eq!(memo.origin, Origin::Memo);
         assert_eq!(memo.failure.as_deref(), Some("planted"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `req` prepared into a task; panics if it resolved at admission.
+    fn task(engine: &Engine, req: SummaryRequest) -> PreparedTask {
+        match engine.prepare(req) {
+            Prepared::Task(task) => task,
+            Prepared::Done(r) => panic!("resolved at admission: {:?}", r.failure),
+        }
+    }
+
+    /// A response's wire bytes with the wall clock zeroed.
+    fn wire(mut resp: SummaryResponse) -> String {
+        resp.cost.wall_micros = 0;
+        strsum_api::encode_frame(&strsum_api::Frame::Response(resp))
+    }
+
+    /// Spins until `ready` holds; a resolve that never waits on a held
+    /// flight fails the test instead of hanging it.
+    fn wait_for(ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !ready() {
+            assert!(Instant::now() < deadline, "no resolve waited on the flight");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Finishes every task on a thread of its own while the test holds
+    /// their (shared) fingerprint's flight, so every one of them is
+    /// admitted, and waiting, before any resolves; then lands the flight.
+    fn finish_together(engine: &Engine, tasks: Vec<PreparedTask>) -> Vec<SummaryResponse> {
+        let n = tasks.len() as u64;
+        let key = tasks[0].key();
+        assert!(tasks.iter().all(|t| t.key() == key), "one fingerprint");
+        std::thread::scope(|scope| {
+            let held = engine.take_flight(key, "test");
+            let handles: Vec<_> = tasks
+                .into_iter()
+                .map(|t| scope.spawn(move || engine.finish(t, 1)))
+                .collect();
+            // A waiter counts itself under the flight lock, before it
+            // sleeps on the condvar, so none can miss the landing below.
+            wait_for(|| engine.stats().flight_waits >= n);
+            drop(held);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// Two copies of a capped loop, admitted together, run the budget
+    /// once: the flight's second holder finds the first one's verdict in
+    /// the memo, and answers it in exactly the bytes an admission-time
+    /// memo answer has.
+    #[test]
+    fn concurrent_capped_duplicates_synthesise_once() {
+        let dir = tmp_dir("flightmemo");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let tasks = vec![task(&engine, capped("dup")), task(&engine, capped("dup"))];
+        let mut answers = finish_together(&engine, tasks);
+        answers.sort_by_key(|r| r.origin != Origin::Fresh);
+        let [fresh, memo] = <[SummaryResponse; 2]>::try_from(answers).unwrap();
+        assert_eq!((fresh.origin, memo.origin), (Origin::Fresh, Origin::Memo));
+        assert_eq!(fresh.outcome, CAPPED, "{:?}", fresh.failure);
+        assert!(fresh.cost.conflicts > 0);
+        assert_eq!(
+            (memo.outcome.clone(), &memo.failure),
+            (CAPPED, &fresh.failure)
+        );
+        assert_eq!((memo.cost.conflicts, &memo.telemetry), (0, &None));
+        assert!(memo.cost.wall_micros > 0, "the wait is service time");
+        let stats = engine.stats();
+        assert_eq!((stats.verdicts_stored, stats.verdict_hits), (1, 1));
+        assert_eq!((stats.store_misses, stats.flight_waits), (1, 2));
+        let admitted = match engine.prepare(capped("dup")) {
+            Prepared::Done(resp) => resp,
+            Prepared::Task(_) => panic!("the memo answers at admission"),
+        };
+        assert_eq!(admitted.origin, Origin::Memo);
+        assert_eq!(wire(memo), wire(admitted), "one memo answer");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A semantic clone (same fingerprint, renamed function) admitted
+    /// together with its twin is served the twin's summary as a
+    /// re-verified hit instead of synthesising its own.
+    #[test]
+    fn concurrent_clones_share_one_synthesis() {
+        let dir = tmp_dir("flightclone");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let clone = SKIP_SPACES.replace("loopFunction", "f");
+        let tasks = vec![
+            task(&engine, SummaryRequest::c("a", SKIP_SPACES)),
+            task(&engine, SummaryRequest::c("b", clone)),
+        ];
+        let mut answers = finish_together(&engine, tasks);
+        answers.sort_by_key(|r| r.origin != Origin::Fresh);
+        let [fresh, hit] = <[SummaryResponse; 2]>::try_from(answers).unwrap();
+        assert_eq!(
+            fresh.outcome,
+            LoopOutcome::Summarized,
+            "{:?}",
+            fresh.failure
+        );
+        assert_eq!(
+            (hit.outcome, hit.origin),
+            (LoopOutcome::CacheHit, Origin::Store)
+        );
+        assert!(hit.reverified);
+        assert_eq!(hit.summary, fresh.summary);
+        let stats = engine.stats();
+        assert_eq!((stats.store_misses, stats.store_hits), (1, 1));
+        assert_eq!(stats.reverified, stats.store_hits + stats.rejected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A flight lands while its holder unwinds: the resolve waiting on
+    /// it wakes and synthesises.
+    #[test]
+    fn a_panicking_leader_releases_its_followers() {
+        let dir = tmp_dir("flightpanic");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        let follower = task(&engine, SummaryRequest::c("f", SKIP_SPACES));
+        let key = follower.key();
+        let engine = &engine;
+        let resp = std::thread::scope(|scope| {
+            let (taken, take) = std::sync::mpsc::channel();
+            let leader = scope.spawn(move || {
+                std::panic::catch_unwind(|| {
+                    let _flight = engine.take_flight(key, "leader");
+                    taken.send(()).unwrap();
+                    wait_for(|| engine.stats().flight_waits > 0);
+                    panic!("leader dies holding the flight");
+                })
+            });
+            take.recv().unwrap();
+            let follower = scope.spawn(|| engine.finish(follower, 1));
+            assert!(leader.join().unwrap().is_err(), "the leader panicked");
+            follower.join().unwrap()
+        });
+        assert_eq!(resp.outcome, LoopOutcome::Summarized, "{:?}", resp.failure);
+        assert_eq!(resp.origin, Origin::Fresh);
+        assert_eq!(engine.stats().flight_waits, 1);
+        assert!(engine.flight_map().is_empty(), "every flight landed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Store-present tasks (the fast lane) and store-bypassing requests
+    /// resolve while their fingerprint's flight is held elsewhere.
+    #[test]
+    fn hits_and_store_bypassing_requests_never_wait() {
+        let dir = tmp_dir("flightfree");
+        let engine = Engine::open(&dir, 2, SynthesisConfig::default()).unwrap();
+        engine.handle(&SummaryRequest::c("warm", SKIP_SPACES));
+        let hit = task(&engine, SummaryRequest::c("hit", SKIP_SPACES));
+        assert!(hit.store_present());
+        let mut off = SummaryRequest::c("off", SKIP_SPACES);
+        off.flags.store = false;
+        let off = task(&engine, off);
+        let key = hit.key();
+        let engine = &engine;
+        let answers = std::thread::scope(|scope| {
+            let _held = engine.take_flight(key, "test");
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                for t in [hit, off] {
+                    tx.send(engine.finish(t, 1)).unwrap();
+                }
+            });
+            [(); 2].map(|()| {
+                rx.recv_timeout(Duration::from_secs(60))
+                    .expect("resolved without waiting for the held flight")
+            })
+        });
+        assert_eq!(answers[0].outcome, LoopOutcome::CacheHit);
+        assert_eq!(answers[1].origin, Origin::Fresh);
+        assert_eq!(answers[1].summary, answers[0].summary);
+        assert_eq!(engine.stats().flight_waits, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,7 +13,8 @@
 //!   like the batch runner, so the daemon's answers are byte-identical
 //!   to `CorpusRunner`'s. Split at
 //!   the pipeline boundary into [`Engine::prepare`] / [`Engine::finish`]
-//!   for the scheduler.
+//!   for the scheduler; copies of one loop resolving together share one
+//!   synthesis through a per-fingerprint single flight.
 //! - [`sched`] — the cross-request scheduler: a fast lane for store
 //!   hits and interactive requests, and a queue that runs syntheses
 //!   normal priority before bulk, each in admission order.
