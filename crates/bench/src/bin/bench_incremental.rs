@@ -26,10 +26,9 @@
 //! into a blocked OE class (`oe_class_hits > 0`). All audits are wired
 //! into CI.
 //!
-//! Results land in `BENCH_pr2.json` (ablation + audit counters),
-//! `BENCH_incremental.json` (the PR-1 incremental-vs-scratch shape) and
-//! `BENCH_pr4.json` (1-worker vs multi-worker makespans, per-loop
-//! speedups, and the multi-worker determinism audit).
+//! Results land in `results/audit/bench_incremental.json`: one gate per
+//! audit, each pass's counters and the makespans as metrics, per-loop
+//! speedups as detail.
 //!
 //! With `--trace PATH` the run also writes a Chrome `trace_event` JSON of
 //! every instrumented phase and *reconciles* it against the solver
@@ -42,15 +41,16 @@
 //! Usage: `cargo run --release -p strsum-bench --bin bench_incremental
 //!         [--limit N] [--timeout-secs N] [--threads N] [--trace PATH]`
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
+use strsum_bench::report::{array, object, string};
 use strsum_bench::{
-    aggregate_screen, aggregate_telemetry, write_result, CacheStats, Cli, CorpusRunner, LoopSynth,
-    PlanSpec, RequestSpec,
+    aggregate_screen, aggregate_telemetry, Cli, CorpusRunner, Gate, LoopSynth, PlanSpec, Report,
+    RequestSpec,
 };
 use strsum_core::{Budget, SynthesisConfig};
 use strsum_corpus::corpus;
-use strsum_obs::ToJson;
+use strsum_obs::{fmt_f64, ToJson};
 
 fn config(screen: bool, incremental: bool, timeout: f64) -> SynthesisConfig {
     SynthesisConfig {
@@ -59,20 +59,6 @@ fn config(screen: bool, incremental: bool, timeout: f64) -> SynthesisConfig {
         screen,
         ..Default::default()
     }
-}
-
-fn mode_json(results: &[LoopSynth], cache: Option<&CacheStats>) -> String {
-    let ok = results.iter().filter(|r| r.summary.is_some()).count();
-    let secs: f64 = results.iter().map(|r| r.elapsed.as_secs_f64()).sum();
-    let iterations: usize = results.iter().map(|r| r.stats.iterations).sum();
-    let cache_hits = results.iter().filter(|r| r.cache_hit).count();
-    format!(
-        "{{\"synthesised\":{ok},\"wall_clock_secs\":{secs:.3},\"iterations\":{iterations},\"solver_queries\":{},\"cache_hits\":{cache_hits},\"cache\":{},\"screen\":{},\"telemetry\":{}}}",
-        aggregate_telemetry(results).total().queries,
-        cache.map_or("null".to_string(), |c| c.to_json()),
-        aggregate_screen(results).to_json(),
-        aggregate_telemetry(results).to_json()
-    )
 }
 
 /// Screen-layer/solver disagreements in one pass: hard failures flagged by
@@ -95,7 +81,7 @@ fn disagreements(results: &[LoopSynth]) -> Vec<String> {
     out
 }
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env();
     cli.validate(&["--limit", "--verbose"]);
     let trace = cli.trace();
@@ -268,7 +254,10 @@ fn main() {
         timing_races,
         disagreed.len()
     );
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut report = Report::new("bench_incremental");
+    let cores = report
+        .cores()
+        .map_or_else(|| "unknown".to_string(), |n| n.to_string());
     let makespan_speedup =
         serial_makespan.as_secs_f64() / parallel_makespan.as_secs_f64().max(1e-9);
     println!(
@@ -284,132 +273,18 @@ fn main() {
         par_races
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads\":{threads}}},",
-        entries.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"screened\": {},",
-        mode_json(&screened, Some(&cache))
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline_no_screen\": {},",
-        mode_json(&baseline, None)
-    );
-    let _ = writeln!(
-        json,
-        "  \"screened_from_scratch\": {},",
-        mode_json(&scratch, Some(&scratch_cache))
-    );
-    let _ = writeln!(
-        json,
-        "  \"ablation\": {{\"baseline_queries\":{baseline_q},\"screened_queries\":{screened_q},\"query_reduction_percent\":{reduction:.2},\"synthesised_baseline\":{},\"synthesised_screened\":{}}},",
-        count_ok(&baseline),
-        count_ok(&screened)
-    );
-    let _ = writeln!(json, "  \"timing_races\": {timing_races},");
-    let _ = writeln!(json, "  \"determinism_violations\": {},", mismatches.len());
-    let _ = writeln!(
-        json,
-        "  \"screen_solver_disagreements\": {}",
-        disagreed.len()
-    );
-    let _ = writeln!(json, "}}");
-    write_result("BENCH_pr2.json", &json);
-
-    // The PR-1 report shape, now over the screened pipeline.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads\":{threads}}},",
-        entries.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"incremental\": {},",
-        mode_json(&screened, Some(&cache))
-    );
-    let _ = writeln!(
-        json,
-        "  \"from_scratch\": {},",
-        mode_json(&scratch, Some(&scratch_cache))
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup\": {:.4},",
-        scratch_secs / screened_secs.max(1e-9)
-    );
-    let _ = writeln!(json, "  \"timing_races\": {timing_races},");
-    let _ = writeln!(json, "  \"determinism_violations\": {}", mismatches.len());
-    let _ = writeln!(json, "}}");
-    write_result("BENCH_incremental.json", &json);
-
-    // The multi-worker ablation: 1-worker and multi-worker makespans over
-    // the same slice, plus per-loop speedups. Speedup is informational on a
-    // 1-core host (the `cores` field says which kind of run this was); the
-    // determinism audit is the hard gate everywhere.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"loops\":{},\"timeout_secs\":{timeout},\"threads_parallel\":{threads_parallel},\"cores\":{cores}}},",
-        entries.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"serial\": {},",
-        mode_json(&serial, Some(&serial_cache))
-    );
-    let _ = writeln!(
-        json,
-        "  \"parallel\": {},",
-        mode_json(&parallel, Some(&parallel_cache))
-    );
-    let _ = writeln!(
-        json,
-        "  \"serial_makespan_secs\": {:.3},",
-        serial_makespan.as_secs_f64()
-    );
-    let _ = writeln!(
-        json,
-        "  \"parallel_makespan_secs\": {:.3},",
-        parallel_makespan.as_secs_f64()
-    );
-    let _ = writeln!(json, "  \"makespan_speedup\": {makespan_speedup:.4},");
-    let _ = writeln!(json, "  \"per_loop\": [");
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        let ss = s.elapsed.as_secs_f64();
-        let ps = p.elapsed.as_secs_f64();
-        let _ = writeln!(
-            json,
-            "    {{\"id\":\"{}\",\"serial_secs\":{ss:.3},\"parallel_secs\":{ps:.3},\"speedup\":{:.4}}}{}",
-            s.entry.id,
-            ss / ps.max(1e-9),
-            if i + 1 < serial.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"timing_races\": {par_races},");
-    let _ = writeln!(
-        json,
-        "  \"determinism_violations\": {}",
-        par_mismatches.len()
-    );
-    let _ = writeln!(json, "}}");
-    write_result("BENCH_pr4.json", &json);
-
-    let mut failed = false;
+    report.config("loops", entries.len() as f64);
+    report.config("timeout_secs", timeout);
+    report.config("threads", threads as f64);
+    report.config("threads_parallel", threads_parallel as f64);
+    report.gate(Gate::none("incremental_vs_scratch_determinism", mismatches));
+    report.gate(Gate::none("serial_vs_parallel_determinism", par_mismatches));
+    report.gate(Gate::none("screen_solver_disagreements", disagreed));
     // Trace ↔ telemetry reconciliation: every solver query made on behalf
     // of synthesis flows through a `search`- or `verify`-tagged
     // `smt.check`/`smt.canonical` span whose args carry the query delta,
     // so the scheduling-independent span aggregate must account for
-    // exactly the telemetry totals (skipped if the ring buffer dropped
+    // exactly the telemetry totals (not gated if the ring buffer dropped
     // events — an undercounted aggregate reconciles with nothing).
     if let Some(collector) = trace.collector() {
         let agg = collector.aggregate();
@@ -428,34 +303,80 @@ fn main() {
                 "trace    : ring buffer dropped {} events; skipping reconciliation",
                 collector.dropped()
             );
-        } else if trace_q == telemetry_q {
-            println!("trace    : {trace_q} span-recorded queries reconcile with telemetry");
         } else {
-            eprintln!(
-                "TRACE/TELEMETRY MISMATCH: spans account for {trace_q} queries, telemetry {telemetry_q}"
-            );
-            failed = true;
+            println!("trace    : spans account for {trace_q} queries, telemetry {telemetry_q}");
+            report.gate(Gate::at_most(
+                "trace_telemetry_query_gap",
+                0.0,
+                trace_q.abs_diff(telemetry_q) as f64,
+            ));
         }
     }
-    let all_mismatches: Vec<&String> = mismatches.iter().chain(&par_mismatches).collect();
-    if !all_mismatches.is_empty() {
-        eprintln!("DETERMINISM VIOLATIONS:");
-        for m in all_mismatches {
-            eprintln!("  {m}");
+
+    // Each pass's scalars as `<pass>.*` metrics, its stat structs as the
+    // `<pass>` detail.
+    for (pass, results, cache) in [
+        ("screened", &screened, Some(&cache)),
+        ("baseline_no_screen", &baseline, None),
+        ("screened_from_scratch", &scratch, Some(&scratch_cache)),
+        ("serial", &serial, Some(&serial_cache)),
+        ("parallel", &parallel, Some(&parallel_cache)),
+    ] {
+        let telemetry = aggregate_telemetry(results);
+        let count = |f: fn(&LoopSynth) -> bool| results.iter().filter(|r| f(r)).count() as f64;
+        let secs = results.iter().map(|r| r.elapsed.as_secs_f64()).sum();
+        let iterations = results.iter().map(|r| r.stats.iterations).sum::<usize>() as f64;
+        for (metric, unit, value) in [
+            ("synthesised", "loops", count(|r| r.summary.is_some())),
+            ("wall_clock", "s", secs),
+            ("iterations", "iterations", iterations),
+            (
+                "solver_queries",
+                "queries",
+                telemetry.total().queries as f64,
+            ),
+            ("cache_hits", "loops", count(|r| r.cache_hit)),
+        ] {
+            report.metric(&format!("{pass}.{metric}"), unit, value);
         }
-        failed = true;
+        let cache = cache.map_or("null".to_string(), ToJson::to_json);
+        let screen = aggregate_screen(results).to_json();
+        let telemetry = telemetry.to_json();
+        report.detail(
+            pass,
+            object([
+                ("cache", cache),
+                ("screen", screen),
+                ("telemetry", telemetry),
+            ]),
+        );
     }
-    if !disagreed.is_empty() {
-        eprintln!("SCREEN/SOLVER DISAGREEMENTS:");
-        for d in &disagreed {
-            eprintln!("  {d}");
-        }
-        failed = true;
+    let incremental_speedup = scratch_secs / screened_secs.max(1e-9);
+    let (races, par_races) = (timing_races as f64, par_races as f64);
+    for (name, unit, value) in [
+        ("query_reduction", "%", reduction),
+        ("incremental_speedup", "x", incremental_speedup),
+        ("incremental_vs_scratch_timing_races", "loops", races),
+        ("serial_makespan", "s", serial_makespan.as_secs_f64()),
+        ("parallel_makespan", "s", parallel_makespan.as_secs_f64()),
+        ("makespan_speedup", "x", makespan_speedup),
+        ("serial_vs_parallel_timing_races", "loops", par_races),
+    ] {
+        report.metric(name, unit, value);
     }
-    // Write the trace before any failure exit so a bad run still leaves
-    // its timeline on disk for diagnosis.
+    let per_loop = serial.iter().zip(&parallel).map(|(s, p)| {
+        let (ss, ps) = (s.elapsed.as_secs_f64(), p.elapsed.as_secs_f64());
+        object([
+            ("id", string(&s.entry.id)),
+            ("serial_secs", fmt_f64(ss)),
+            ("parallel_secs", fmt_f64(ps)),
+            ("speedup", fmt_f64(ss / ps.max(1e-9))),
+        ])
+    });
+    report.detail("per_loop", array(per_loop));
+
+    // Write the trace before the verdict so a bad run still leaves its
+    // timeline on disk for diagnosis.
     trace.finish();
-    if failed {
-        std::process::exit(1);
-    }
+    report.finish()
 }

@@ -11,25 +11,30 @@
 //! 3. **pure_sat** — everything off: every feasibility query bit-blasts
 //!    the full path condition from scratch (the pre-PR-7 behaviour).
 //!
-//! Two gates, both hard (exit 1 on violation):
+//! Four gates, all hard (exit 1 on violation):
 //!
 //! * **byte identity** — every configuration must explore the identical
-//!   path set (rendered constraints + outcome, per path, in order), and
-//!   synthesis with the fast path on/off must produce byte-identical
-//!   programs and failure verdicts on a corpus slice.
+//!   path set (rendered constraints + outcome, per path, in order:
+//!   `path_set_identity`), and synthesis with the fast path on/off must
+//!   produce byte-identical programs and failure verdicts on a corpus
+//!   slice (`synthesis_identity`).
 //! * **performance** — the theory layer must answer ≥ 50% of feasibility
-//!   queries without reaching the SAT solver, and the full pipeline must
-//!   spend fewer SAT propagations than the pure-SAT baseline.
+//!   queries without reaching the SAT solver (`theory_hit_rate`), and the
+//!   full pipeline must spend fewer SAT propagations than the pure-SAT
+//!   baseline (`sat_propagations_saved` ≥ 1).
 //!
-//! Results land in `results/BENCH_pr7.json`.
+//! Results land in `results/audit/feasibility_audit.json`.
 //!
 //! Usage: `cargo run --release -p strsum-bench --bin feasibility_audit
 //!         [--limit N] [--len N] [--synth-limit N] [--timeout-secs N]`
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use strsum_bench::{write_result, Cli};
+use strsum_bench::report::object;
+use strsum_bench::{Cli, Gate, Report};
 use strsum_core::{synthesize, SynthesisConfig};
+use strsum_obs::{fmt_f64, ToJson};
 use strsum_smt::TermPool;
 use strsum_symex::{Engine, RunStats, SymOutcome, SymbolicRun};
 
@@ -76,17 +81,17 @@ impl Agg {
             self.paths as f64 / secs
         }
     }
+}
 
+impl ToJson for Agg {
     fn to_json(&self) -> String {
         format!(
-            "{{\"wall_secs\":{:.3},\"paths\":{},\"paths_per_sec\":{:.1},\"queries\":{},\"theory_sat\":{},\"theory_unsat\":{},\"theory_hit_rate\":{:.4},\"cache_hits\":{},\"sat_queries\":{},\"sat_propagations\":{},\"sat_conflicts\":{}}}",
-            self.wall.as_secs_f64(),
+            "{{\"wall_secs\":{},\"paths\":{},\"queries\":{},\"theory_sat\":{},\"theory_unsat\":{},\"cache_hits\":{},\"sat_queries\":{},\"sat_propagations\":{},\"sat_conflicts\":{}}}",
+            fmt_f64(self.wall.as_secs_f64()),
             self.paths,
-            self.paths_per_sec(),
             self.queries,
             self.theory_sat,
             self.theory_unsat,
-            self.theory_rate(),
             self.cache_hits,
             self.sat_queries,
             self.sat_propagations,
@@ -104,14 +109,11 @@ fn fingerprint(pool: &TermPool, run: &SymbolicRun) -> String {
         for &c in &p.constraints {
             let _ = write!(out, "{} && ", pool.display(c));
         }
-        match &p.outcome {
-            SymOutcome::Ret(v) => {
-                let _ = writeln!(out, "ret {v:?}");
-            }
-            SymOutcome::Abort(m) => {
-                let _ = writeln!(out, "abort {m}");
-            }
-        }
+        let _ = match &p.outcome {
+            SymOutcome::Ret(v) => write!(out, "ret {v:?}"),
+            SymOutcome::Abort(m) => write!(out, "abort {m}"),
+        };
+        out.push('\n');
     }
     out
 }
@@ -144,7 +146,7 @@ const CONFIGS: [Config; 3] = [
     },
 ];
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env();
     cli.validate(&["--len", "--limit", "--synth-limit"]);
     let limit: usize = cli.parsed("--limit", 40);
@@ -160,7 +162,7 @@ fn main() {
     );
 
     let mut aggs: Vec<Agg> = CONFIGS.iter().map(|_| Agg::default()).collect();
-    let mut violations: Vec<String> = Vec::new();
+    let mut path_violations: Vec<String> = Vec::new();
     let mut compared = 0usize;
     let mut skipped = 0usize;
 
@@ -202,7 +204,7 @@ fn main() {
         for (i, (wall, fp, stats)) in runs.iter().enumerate() {
             aggs[i].add(*wall, stats);
             if *fp != runs[0].1 {
-                violations.push(format!(
+                path_violations.push(format!(
                     "{}: path set under `{}` differs from `fast`",
                     entry.id, CONFIGS[i].name
                 ));
@@ -229,6 +231,7 @@ fn main() {
     // synthesised summaries, same contract as the PR 4 incremental gate.
     println!("synthesis pass: fast path on vs off over {synth_limit} loops…");
     let mut synth_compared = 0usize;
+    let mut synth_violations: Vec<String> = Vec::new();
     for entry in entries.iter().take(synth_limit) {
         let Ok(func) = strsum_cfront::compile_one(&entry.source) else {
             continue;
@@ -258,13 +261,13 @@ fn main() {
         let a = on.program.as_ref().map(|p| p.encode());
         let b = off.program.as_ref().map(|p| p.encode());
         if a != b {
-            violations.push(format!(
+            synth_violations.push(format!(
                 "{}: fast path on/off synthesised different programs",
                 entry.id
             ));
         }
         if on.stats.failure != off.stats.failure {
-            violations.push(format!(
+            synth_violations.push(format!(
                 "{}: fast path on/off failed differently ({:?} vs {:?})",
                 entry.id, on.stats.failure, off.stats.failure
             ));
@@ -272,56 +275,34 @@ fn main() {
     }
     println!("  {synth_compared} loops compared byte-for-byte");
 
-    // Performance gates.
-    let fast = &aggs[0];
-    let pure = &aggs[2];
-    let theory_ok = fast.theory_rate() >= 0.5;
-    let props_ok = fast.sat_propagations < pure.sat_propagations;
-    if !theory_ok {
-        violations.push(format!(
-            "theory hit rate {:.1}% below the 50% gate",
-            100.0 * fast.theory_rate()
-        ));
+    let mut report = Report::new("feasibility_audit");
+    report.config("loops", entries.len() as f64);
+    report.config("len", len as f64);
+    report.config("timeout_secs", timeout);
+    report.config("synth_limit", synth_limit as f64);
+    let (fast, pure) = (&aggs[0], &aggs[2]);
+    report.gate(Gate::at_least("theory_hit_rate", 0.5, fast.theory_rate()));
+    // Fewer propagations than pure SAT: at least one saved.
+    let saved = pure.sat_propagations as f64 - fast.sat_propagations as f64;
+    report.gate(Gate::at_least("sat_propagations_saved", 1.0, saved));
+    report.gate(Gate::none("path_set_identity", path_violations));
+    report.gate(Gate::none("synthesis_identity", synth_violations));
+    report.metric("compared", "loops", compared as f64);
+    report.metric("skipped", "loops", skipped as f64);
+    report.metric("synth_compared", "loops", synth_compared as f64);
+    for (cfg, agg) in CONFIGS.iter().zip(&aggs) {
+        let name = |metric: &str| format!("{}.{metric}", cfg.name);
+        report.metric(&name("paths_per_sec"), "paths/s", agg.paths_per_sec());
+        report.metric(&name("theory_hit_rate"), "ratio", agg.theory_rate());
     }
-    if !props_ok {
-        violations.push(format!(
-            "fast-path propagations {} not below pure-SAT baseline {}",
-            fast.sat_propagations, pure.sat_propagations
-        ));
-    }
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"loops\":{},\"len\":{len},\"timeout_secs\":{timeout},\"synth_limit\":{synth_limit},\"cores\":{}}},",
-        entries.len(),
-        strsum_corpus::plan::detected_cores()
+    report.detail(
+        "configs",
+        object(
+            CONFIGS
+                .iter()
+                .zip(&aggs)
+                .map(|(c, a)| (c.name, a.to_json())),
+        ),
     );
-    let _ = writeln!(json, "  \"compared\": {compared},");
-    let _ = writeln!(json, "  \"skipped\": {skipped},");
-    let _ = writeln!(json, "  \"configs\": {{");
-    for (i, (cfg, agg)) in CONFIGS.iter().zip(&aggs).enumerate() {
-        let comma = if i + 1 < CONFIGS.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{}\": {}{comma}", cfg.name, agg.to_json());
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"synth_compared\": {synth_compared},");
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"theory_rate_ge_50\":{theory_ok},\"propagations_reduced\":{props_ok},\"byte_identity\":{}}},",
-        violations.iter().all(|v| !v.contains("differ"))
-    );
-    let _ = writeln!(json, "  \"violations\": {}", violations.len());
-    let _ = writeln!(json, "}}");
-    write_result("BENCH_pr7.json", &json);
-
-    if !violations.is_empty() {
-        eprintln!("FEASIBILITY AUDIT VIOLATIONS:");
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("feasibility audit passed");
+    report.finish()
 }

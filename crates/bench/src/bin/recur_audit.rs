@@ -1,59 +1,46 @@
 //! The recurrence-lane audit (PR 10) — lane-on vs lane-off over the
 //! memoryless corpus plus the stateful accumulator corpus.
 //!
-//! Two passes, three hard gates (exit 1 on violation):
+//! Two passes, five hard gates (exit 1 on violation):
 //!
 //! 1. **Lane comparison** — every loop is summarised twice, with the
 //!    recurrence lane off (the pre-PR-10 pipeline) and on. Gates:
 //!
-//!    * **byte identity** — on the memoryless fragment (every loop the
+//!    * **byte identity** (`memoryless_byte_identity`) — on the
+//!      memoryless fragment (every loop the
 //!      lane-off pipeline resolves, success or failure) the lane-on
 //!      pipeline must produce byte-identical summary bytes and the same
 //!      outcome class. The lane only fires after gadget synthesis has
 //!      concluded inexpressible, so turning it on must be invisible to
 //!      the fragment.
-//!    * **flips** — at least 5 loops that classify `NotMemoryless` with
-//!      the lane off must summarise with the lane on (the PR's
-//!      acceptance criterion).
-//!    * **verification** — every flipped closed form must discharge
-//!      through the bounded verifier (`verify_summary`), the same
-//!      soundness root gadget summaries answer to.
+//!    * **flips** (`flips`) — at least 5 loops that classify
+//!      `NotMemoryless` with the lane off must summarise, as closed forms
+//!      (`gadget_flips`), with the lane on.
+//!    * **verification** (`flip_verification_rate`) — every flipped
+//!      closed form must discharge through the bounded verifier
+//!      (`verify_summary`), the same soundness root gadget summaries
+//!      answer to.
 //!
 //! 2. **Runner integration** — the stateful corpus runs through
 //!    `CorpusRunner` (cache on) so the kind tallies, cache
-//!    re-verification and outcome taxonomy cover the new lane.
+//!    re-verification and outcome taxonomy cover the new lane; it must
+//!    tally at least 5 closed-form summaries (`runner_closed_forms`).
 //!
 //! Flip counts, verification rate, per-loop cost and the kind tallies
-//! land in `results/BENCH_pr10.json`.
+//! land in `results/audit/recur_audit.json`.
 //!
 //! Usage: `cargo run --release -p strsum-bench --bin recur_audit
 //!         [--limit N] [--timeout-secs N]`
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use strsum_bench::{loop_specs, write_result, Cli, CorpusRunner, PlanSpec, RequestSpec};
+use strsum_bench::report::{array, object, string};
+use strsum_bench::{loop_specs, Cli, CorpusRunner, Gate, PlanSpec, Report, RequestSpec};
 use strsum_core::{summarize_loop, verify_summary, Summary, SynthesisConfig};
 use strsum_obs::ToJson as _;
 
-/// One loop's lane-comparison record.
-struct LaneRow {
-    id: String,
-    /// From the stateful corpus rather than the memoryless one.
-    stateful: bool,
-    kind: Option<&'static str>,
-    flip: bool,
-    verified: bool,
-    wall_micros: u64,
-    form: Option<String>,
-}
-
-/// A JSON string literal.
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", strsum_obs::escape(s))
-}
-
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env();
     cli.validate(&["--limit"]);
     let limit: usize = cli.parsed("--limit", 60);
@@ -79,13 +66,17 @@ fn main() {
         ..base.clone()
     };
 
-    let mut violations: Vec<String> = Vec::new();
-    let mut rows: Vec<LaneRow> = Vec::new();
+    let mut identity_violations: Vec<String> = Vec::new();
+    let mut unverified: Vec<String> = Vec::new();
+    let mut gadget_flips: Vec<String> = Vec::new();
+    // One JSON row per flipped loop.
+    let mut flipped: Vec<String> = Vec::new();
     let mut identical = 0usize;
     let mut flips = 0usize;
     let mut verified_flips = 0usize;
-    // Skipped loops (no compile, or a wall-clock verdict), memoryless
-    // corpus and stateful corpus apart.
+    // Compared and skipped loops (no compile, or a wall-clock verdict),
+    // memoryless corpus and stateful corpus apart.
+    let mut compared = [0usize; 2];
     let mut skipped = [0usize; 2];
 
     for (i, entry) in entries.iter().enumerate() {
@@ -116,53 +107,46 @@ fn main() {
             if off_bytes == on_bytes {
                 identical += 1;
             } else {
-                violations.push(format!(
+                identity_violations.push(format!(
                     "{}: lane-on summary differs from lane-off on a gadget-fragment loop",
                     entry.id
                 ));
             }
         } else if !flip && off.stats.failure != on.stats.failure {
-            violations.push(format!(
+            identity_violations.push(format!(
                 "{}: lane-on failure differs on an unsummarised loop ({:?} vs {:?})",
                 entry.id, off.stats.failure, on.stats.failure
             ));
         }
 
-        let mut verified = false;
         if flip {
             flips += 1;
             let summary = on.summary.as_ref().expect("flip has a summary");
             if summary.closed_form().is_none() {
-                violations.push(format!(
+                gadget_flips.push(format!(
                     "{}: flip produced a gadget summary the lane-off run missed",
                     entry.id
                 ));
             }
             let (ok, _) = verify_summary(&func, &summary.encode(), on_cfg.max_ex_size);
-            verified = ok;
+            let form = summary.closed_form().map(|cf| string(&cf.to_string()));
+            flipped.push(object([
+                ("id", string(&entry.id)),
+                ("kind", string(summary.kind().label())),
+                ("verified", ok.to_string()),
+                ("wall_micros", wall_micros.to_string()),
+                ("form", form.unwrap_or_else(|| "null".to_string())),
+            ]));
             if ok {
                 verified_flips += 1;
             } else {
-                violations.push(format!(
+                unverified.push(format!(
                     "{}: flipped closed form fails bounded re-verification",
                     entry.id
                 ));
             }
         }
-
-        rows.push(LaneRow {
-            id: entry.id.clone(),
-            stateful: stateful_row,
-            kind: on.summary.as_ref().map(|s| s.kind().label()),
-            flip,
-            verified,
-            wall_micros,
-            form: on
-                .summary
-                .as_ref()
-                .and_then(Summary::closed_form)
-                .map(|cf| cf.to_string()),
-        });
+        compared[usize::from(stateful_row)] += 1;
     }
 
     let verification_rate = if flips == 0 {
@@ -170,8 +154,7 @@ fn main() {
     } else {
         verified_flips as f64 / flips as f64
     };
-    let stateful_rows = rows.iter().filter(|r| r.stateful).count();
-    let memoryless_rows = rows.len() - stateful_rows;
+    let [memoryless_rows, stateful_rows] = compared;
     println!(
         "lane comparison: {memoryless_rows} memoryless + {stateful_rows} stateful loops \
          ({} + {} skipped), {identical} byte-identical on the fragment, \
@@ -194,72 +177,29 @@ fn main() {
         report.results.len(),
         report.kinds.to_json()
     );
-    if report.kinds.accumulator + report.kinds.builder < 5 {
-        violations.push(format!(
-            "runner tallied only {} closed-form summaries over the stateful corpus",
-            report.kinds.accumulator + report.kinds.builder
-        ));
-    }
 
-    let flips_ok = flips >= 5;
-    let verify_ok = flips > 0 && verified_flips == flips;
-    let identity_ok = violations.iter().all(|v| !v.contains("differs"));
-    if !flips_ok {
-        violations.push(format!("only {flips} flips, need ≥ 5"));
-    }
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"memoryless_loops\":{memoryless_count},\"stateful_loops\":{},\"timeout_secs\":{timeout},\"cores\":{}}},",
-        stateful.len(),
-        strsum_corpus::plan::detected_cores()
+    let mut audit = Report::new("recur_audit");
+    audit.config("memoryless_loops", memoryless_count as f64);
+    audit.config("stateful_loops", stateful.len() as f64);
+    audit.config("timeout_secs", timeout);
+    audit.gate(Gate::none("memoryless_byte_identity", identity_violations));
+    audit.gate(Gate::at_least("flips", 5.0, flips as f64));
+    audit.gate(
+        Gate::at_least("flip_verification_rate", 1.0, verification_rate).messages(unverified),
     );
-    let _ = writeln!(
-        json,
-        "  \"memoryless\": {{\"compared\":{memoryless_rows},\"byte_identical\":{identical},\"skipped\":{}}},",
-        skipped[0]
-    );
-    let _ = writeln!(
-        json,
-        "  \"stateful\": {{\"compared\":{stateful_rows},\"skipped\":{}}},",
-        skipped[1]
-    );
-    let _ = writeln!(
-        json,
-        "  \"flips\": {{\"count\":{flips},\"verified\":{verified_flips},\"verification_rate\":{verification_rate:.4}}},"
-    );
-    let _ = writeln!(json, "  \"per_loop\": [");
-    let flipped: Vec<&LaneRow> = rows.iter().filter(|r| r.flip).collect();
-    for (i, r) in flipped.iter().enumerate() {
-        let comma = if i + 1 < flipped.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"id\":{},\"kind\":{},\"verified\":{},\"wall_micros\":{},\"form\":{}}}{comma}",
-            json_str(&r.id),
-            r.kind.map_or("null".to_string(), json_str),
-            r.verified,
-            r.wall_micros,
-            r.form.as_deref().map_or("null".to_string(), json_str),
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"runner_kinds\": {},", report.kinds.to_json());
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"memoryless_byte_identity\":{identity_ok},\"flips_ge_5\":{flips_ok},\"all_flips_verified\":{verify_ok}}},"
-    );
-    let _ = writeln!(json, "  \"violations\": {}", violations.len());
-    let _ = writeln!(json, "}}");
-    write_result("BENCH_pr10.json", &json);
-
-    if !violations.is_empty() {
-        eprintln!("RECURRENCE-LANE AUDIT VIOLATIONS:");
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("recurrence-lane audit passed");
+    audit.gate(Gate::none("gadget_flips", gadget_flips));
+    audit.gate(Gate::at_least(
+        "runner_closed_forms",
+        5.0,
+        (report.kinds.accumulator + report.kinds.builder) as f64,
+    ));
+    audit.metric("memoryless.compared", "loops", memoryless_rows as f64);
+    audit.metric("memoryless.byte_identical", "loops", identical as f64);
+    audit.metric("memoryless.skipped", "loops", skipped[0] as f64);
+    audit.metric("stateful.compared", "loops", stateful_rows as f64);
+    audit.metric("stateful.skipped", "loops", skipped[1] as f64);
+    audit.metric("flips.verified", "loops", verified_flips as f64);
+    audit.detail("per_loop", array(flipped));
+    audit.detail("runner_kinds", report.kinds.to_json());
+    audit.finish()
 }

@@ -3,16 +3,19 @@
 //! clients speaking the wire protocol over a Unix socket — and diffs
 //! every answer against the batch runner under the same config.
 //!
-//! Three gates, each fatal (exit 1):
+//! Three kinds of gate, each fatal (exit 1):
 //!
-//! - **Byte identity (cold).** A freshly started daemon with an empty
-//!   store must synthesise byte-identical summaries, failure verdicts
+//! - **Byte identity (cold)** (`cold_byte_identity`; `cold_compared`:
+//!   at least half the loops compared). A freshly started daemon with an
+//!   empty store must synthesise byte-identical summaries, failure verdicts
 //!   and outcomes to `CorpusRunner::serve` for every loop that did not
 //!   race the wall clock. An in-run store hit on a semantic clone
 //!   (`CacheHit` where the runner says `Summarized`) is legitimate —
 //!   the bytes must still match.
-//! - **Byte identity (restart).** The daemon is then shut down —
-//!   draining, compacting — and a new daemon is opened over the same
+//! - **Byte identity (restart)** (`restart_byte_identity`,
+//!   `restart_memo`, `tail_memo`, `tail_memo_exercised`). The daemon is
+//!   then shut down — draining, compacting — and a new daemon is opened
+//!   over the same
 //!   store directory. The replay must serve every previously
 //!   summarised loop from the reloaded store, byte-identical, and every
 //!   deterministic negative of the cold pass (`not_memoryless`, or a
@@ -21,18 +24,19 @@
 //!   audit's budget leaves unsummarised run out of wall clock, which
 //!   the memo never keeps, they are also re-asked under a
 //!   100-conflict cap by a fresh daemon and a restarted one; the
-//!   restart must answer them from the memo (`memo` in the artifact).
-//! - **Soundness.** Every store hit must have been re-verified by the
-//!   bounded checker: the warm pass requires `origin == store` and
+//!   restart must answer them from the memo (the `memo_*` phases).
+//! - **Soundness** (`cold_soundness`, `restart_soundness`). Every store
+//!   hit must have been re-verified by the bounded checker: the warm
+//!   pass requires `origin == store` and
 //!   `reverified` on each hit, and the engine counters must satisfy
 //!   `reverified == store_hits + rejected` with `rejected == 0` (memo
 //!   answers are not store hits).
 //!
-//! Serving metrics land in `results/BENCH_pr8.json` for the CI
-//! artifact: throughput, p50/p99 *service* time (each response's
+//! Serving metrics land in `results/audit/serve_audit.json`, per phase:
+//! throughput, p50/p99 *service* time (each response's
 //! `cost.wall_micros` — preparation plus resolution, never queue wait),
 //! each wire client's batch round trip (send to reply: the latency the
-//! client observes, queue wait included), and the store hit rate.
+//! client observes, queue wait included), and the warm store hit rate.
 //!
 //! A fourth phase benchmarks the cross-request scheduler: a mixed
 //! cold/warm workload (half the loops pre-warmed into the store, the
@@ -41,17 +45,17 @@
 //! under the FIFO fixed pool (PR 8 behaviour, `SchedOptions::fixed`)
 //! and once under the scheduler (fast lane for store hits, syntheses
 //! queued in admission order). Both runs must stay
-//! byte-identical to the batch reference and pass the soundness gate;
-//! the scheduler must not lose throughput against the fixed pool (a
-//! hard gate on multi-core hosts, informational on one core, with a
-//! 10% measurement-jitter allowance). Results land in
-//! `results/BENCH_pr9.json`.
+//! byte-identical to the batch reference (`mixed_byte_identity`) and
+//! pass the soundness gate (`mixed_soundness`); the scheduler must not
+//! lose throughput against the fixed pool
+//! (`scheduler_throughput_vs_fixed` ≥ 0.9×: a hard gate on multi-core
+//! hosts, a metric on one core or an unknown core count, with a 10%
+//! measurement-jitter allowance).
 //!
 //! Usage: `cargo run --release -p strsum-bench --bin serve_audit
 //!         [--loops N] [--clients N] [--threads N] [--timeout-secs S]`
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -63,7 +67,8 @@ use std::time::{Duration, Instant};
 use strsum_api::{
     decode_frame, encode_frame, BatchRequest, Frame, Origin, SummaryRequest, SummaryResponse,
 };
-use strsum_bench::{write_result, Cli, CorpusRunner, LoopSynth, PlanSpec, RequestSpec};
+use strsum_bench::report::object;
+use strsum_bench::{Cli, CorpusRunner, Gate, LoopSynth, PlanSpec, Report, RequestSpec};
 use strsum_core::{LoopOutcome, SynthesisConfig};
 use strsum_obs::ToJson;
 use strsum_server::{
@@ -143,6 +148,18 @@ fn memo_violations(
     violations
 }
 
+/// The soundness equation: every store hit re-verified, whatever the
+/// verdict (`reverified == store_hits + rejected`).
+fn reverify_violations(stats: &EngineStats) -> Vec<String> {
+    if stats.reverified == stats.store_hits + stats.rejected {
+        return Vec::new();
+    }
+    vec![format!(
+        "reverified {} != hits {} + rejected {}",
+        stats.reverified, stats.store_hits, stats.rejected
+    )]
+}
+
 /// What one daemon lifetime served.
 struct Served {
     responses: Vec<SummaryResponse>,
@@ -162,10 +179,29 @@ impl Served {
         (percentile(&service, 50.0), percentile(&service, 99.0))
     }
 
-    /// The clients' round trips as a JSON array.
-    fn round_trips_json(&self) -> String {
-        let items: Vec<String> = self.round_trips.iter().map(u64::to_string).collect();
-        format!("[{}]", items.join(", "))
+    fn throughput(&self) -> f64 {
+        self.responses.len() as f64 / self.secs.max(1e-9)
+    }
+
+    /// Records the phase's serving metrics as `<phase>.*` and its
+    /// counters as the `<phase>` detail.
+    fn record(&self, report: &mut Report, phase: &str) {
+        let name = |metric: &str| format!("{phase}.{metric}");
+        let (p50, p99) = self.service_percentiles();
+        report.metric(&name("elapsed"), "s", self.secs);
+        report.metric(&name("throughput"), "req/s", self.throughput());
+        report.metric(&name("p50_service"), "us", p50 as f64);
+        report.metric(&name("p99_service"), "us", p99 as f64);
+        for (c, &us) in self.round_trips.iter().enumerate() {
+            report.metric(&name(&format!("client{c}_round_trip")), "us", us as f64);
+        }
+        report.detail(
+            phase,
+            object([
+                ("stats", self.stats.to_json()),
+                ("sched", self.sched.to_json()),
+            ]),
+        );
     }
 
     /// The longest client round trip, in seconds.
@@ -319,29 +355,32 @@ fn main() -> ExitCode {
     let store: PathBuf = scratch.join("store");
     let socket: PathBuf = scratch.join("sock");
 
-    let mut violations: Vec<String> = Vec::new();
+    let mut report = Report::new("serve_audit");
+    report.config("loops", loops as f64);
+    report.config("clients", clients as f64);
+    report.config("workers", threads as f64);
+    report.config("timeout_secs", timeout);
+    report.config("memo_solver_conflicts", MEMO_CONFLICTS as f64);
 
     // ---- Phase 1: cold daemon, empty store ---------------------------
-    let Served {
-        responses: cold,
-        stats: cold_stats,
-        secs: cold_secs,
-        ..
-    } = daemon_phase(
+    let cold_phase = daemon_phase(
         &store,
         &socket,
         &cfg,
         SchedOptions::scheduled(threads),
         &batches,
     );
+    cold_phase.record(&mut report, "cold");
+    let (cold, cold_stats) = (&cold_phase.responses, cold_phase.stats);
     println!(
-        "cold:  {loops} answers in {cold_secs:.2}s  ({} hits, {} misses)",
-        cold_stats.store_hits, cold_stats.store_misses
+        "cold:  {loops} answers in {:.2}s  ({} hits, {} misses)",
+        cold_phase.secs, cold_stats.store_hits, cold_stats.store_misses
     );
+    let mut cold_violations = Vec::new();
     let mut compared = 0usize;
-    for resp in &cold {
+    for resp in cold {
         let Some(reference) = reference_by_id.get(resp.id.as_str()) else {
-            violations.push(format!("{}: daemon answered an unknown id", resp.id));
+            cold_violations.push(format!("{}: daemon answered an unknown id", resp.id));
             continue;
         };
         if runner_timing_dependent(reference) || response_timing_dependent(resp) {
@@ -349,7 +388,7 @@ fn main() -> ExitCode {
         }
         let expected = reference.summary.as_ref().map(|s| s.encode());
         if expected != resp.summary {
-            violations.push(format!(
+            cold_violations.push(format!(
                 "{}: cold daemon summary differs from the batch runner",
                 resp.id
             ));
@@ -361,30 +400,29 @@ fn main() -> ExitCode {
             || (reference.outcome == LoopOutcome::Summarized
                 && resp.outcome == LoopOutcome::CacheHit);
         if !outcome_ok {
-            violations.push(format!(
+            cold_violations.push(format!(
                 "{}: outcome skew — runner {:?}, daemon {:?}",
                 resp.id, reference.outcome, resp.outcome
             ));
         }
         if resp.summary.is_none() && reference.failure != resp.failure {
-            violations.push(format!(
+            cold_violations.push(format!(
                 "{}: failure skew — runner {:?}, daemon {:?}",
                 resp.id, reference.failure, resp.failure
             ));
         }
         compared += 1;
     }
-    if compared < loops.div_ceil(2) {
-        violations.push(format!(
-            "only {compared}/{loops} loops compared deterministically — raise --timeout-secs"
-        ));
-    }
-    if cold_stats.reverified != cold_stats.store_hits + cold_stats.rejected {
-        violations.push(format!(
-            "cold soundness: reverified {} != hits {} + rejected {}",
-            cold_stats.reverified, cold_stats.store_hits, cold_stats.rejected
-        ));
-    }
+    report.gate(Gate::none("cold_byte_identity", cold_violations));
+    report.gate(Gate::at_least(
+        "cold_compared",
+        loops.div_ceil(2) as f64,
+        compared as f64,
+    ));
+    report.gate(Gate::none(
+        "cold_soundness",
+        reverify_violations(&cold_stats),
+    ));
 
     // ---- Phase 2: daemon restart over the same store -----------------
     let warm_phase = daemon_phase(
@@ -394,9 +432,11 @@ fn main() -> ExitCode {
         SchedOptions::scheduled(threads),
         &batches,
     );
-    let (warm, warm_stats, warm_secs) = (&warm_phase.responses, warm_phase.stats, warm_phase.secs);
+    warm_phase.record(&mut report, "warm");
+    let (warm, warm_stats) = (&warm_phase.responses, warm_phase.stats);
     println!(
-        "warm:  {loops} answers in {warm_secs:.2}s  ({} hits, {} misses, {} reverified, {} memo)",
+        "warm:  {loops} answers in {:.2}s  ({} hits, {} misses, {} reverified, {} memo)",
+        warm_phase.secs,
         warm_stats.store_hits,
         warm_stats.store_misses,
         warm_stats.reverified,
@@ -404,32 +444,37 @@ fn main() -> ExitCode {
     );
     let cold_by_id: HashMap<&str, &SummaryResponse> =
         cold.iter().map(|r| (r.id.as_str(), r)).collect();
-    violations.extend(memo_violations("warm", &cold_by_id, warm, &warm_stats));
+    report.gate(Gate::none(
+        "restart_memo",
+        memo_violations("warm", &cold_by_id, warm, &warm_stats),
+    ));
+    let mut restart_violations = Vec::new();
+    let mut unsound = reverify_violations(&warm_stats);
     let mut expected_hits = 0u64;
     for resp in warm {
         let before = cold_by_id[resp.id.as_str()];
         if let Some(bytes) = &before.summary {
             expected_hits += 1;
             if resp.summary.as_deref() != Some(bytes.as_slice()) {
-                violations.push(format!(
+                restart_violations.push(format!(
                     "{}: summary changed across daemon restart / store reload",
                     resp.id
                 ));
             }
             if resp.origin != Origin::Store {
-                violations.push(format!(
+                restart_violations.push(format!(
                     "{}: warm answer not served from the store",
                     resp.id
                 ));
             }
             if !resp.reverified {
-                violations.push(format!(
+                unsound.push(format!(
                     "{}: store hit served without re-verification",
                     resp.id
                 ));
             }
             if resp.outcome != LoopOutcome::CacheHit {
-                violations.push(format!(
+                restart_violations.push(format!(
                     "{}: warm outcome {:?}, expected CacheHit",
                     resp.id, resp.outcome
                 ));
@@ -438,30 +483,26 @@ fn main() -> ExitCode {
             && !response_timing_dependent(resp)
             && resp.outcome != before.outcome
         {
-            violations.push(format!(
+            restart_violations.push(format!(
                 "{}: unsummarised outcome changed across restart — {:?} then {:?}",
                 resp.id, before.outcome, resp.outcome
             ));
         }
     }
     if warm_stats.store_hits != expected_hits {
-        violations.push(format!(
+        restart_violations.push(format!(
             "warm store hits {} != {} summarised loops",
             warm_stats.store_hits, expected_hits
         ));
     }
     if warm_stats.rejected != 0 {
-        violations.push(format!(
+        unsound.push(format!(
             "warm pass tombstoned {} store entries — the store served corrupt summaries",
             warm_stats.rejected
         ));
     }
-    if warm_stats.reverified != warm_stats.store_hits + warm_stats.rejected {
-        violations.push(format!(
-            "warm soundness: reverified {} != hits {} + rejected {}",
-            warm_stats.reverified, warm_stats.store_hits, warm_stats.rejected
-        ));
-    }
+    report.gate(Gate::none("restart_byte_identity", restart_violations));
+    report.gate(Gate::none("restart_soundness", unsound));
 
     // ---- Phase 2b: the budget tail, conflict-capped, across a restart --
     // At the audit's budget the unsummarised loops run out of wall
@@ -484,85 +525,44 @@ fn main() -> ExitCode {
     }];
     let memo_store = scratch.join("store-memo");
     let opts = SchedOptions::scheduled(threads);
-    let Served {
-        responses: tail_cold,
-        secs: tail_cold_secs,
-        ..
-    } = daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
-    let Served {
-        responses: tail_warm,
-        stats: tail_stats,
-        secs: tail_warm_secs,
-        ..
-    } = daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
+    let tail_cold = daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
+    let tail_warm = daemon_phase(&memo_store, &socket, &cfg, opts, &tail_batches);
+    report.metric("memo_loops", "loops", tail_loops as f64);
+    tail_cold.record(&mut report, "memo_cold");
+    tail_warm.record(&mut report, "memo_warm");
+    let tail_stats = tail_warm.stats;
     println!(
-        "tail:  {tail_loops} capped loops in {tail_cold_secs:.2}s, restarted {tail_warm_secs:.2}s ({} memo)",
-        tail_stats.verdict_hits
+        "tail:  {tail_loops} capped loops in {:.2}s, restarted {:.2}s ({} memo)",
+        tail_cold.secs, tail_warm.secs, tail_stats.verdict_hits
     );
-    let tail_cold_by_id: HashMap<&str, &SummaryResponse> =
-        tail_cold.iter().map(|r| (r.id.as_str(), r)).collect();
-    violations.extend(memo_violations(
-        "tail",
-        &tail_cold_by_id,
-        &tail_warm,
-        &tail_stats,
+    let tail_cold_by_id: HashMap<&str, &SummaryResponse> = tail_cold
+        .responses
+        .iter()
+        .map(|r| (r.id.as_str(), r))
+        .collect();
+    report.gate(Gate::none(
+        "tail_memo",
+        memo_violations("tail", &tail_cold_by_id, &tail_warm.responses, &tail_stats),
     ));
-    if tail_loops > 0 && tail_stats.verdict_hits == 0 {
-        violations.push(format!(
-            "no budget-tail loop failed deterministically at {MEMO_CONFLICTS} conflicts — the memo gate checked nothing"
+    // With no budget-tail loop there is nothing for the memo to answer.
+    if tail_loops > 0 {
+        report.gate(Gate::at_least(
+            "tail_memo_exercised",
+            1.0,
+            tail_stats.verdict_hits as f64,
         ));
     }
 
-    // ---- Metrics + artifact ------------------------------------------
     let (p50, p99) = warm_phase.service_percentiles();
-    let throughput = loops as f64 / warm_secs.max(1e-9);
     let hit_rate = warm_stats.store_hits as f64
         / (warm_stats.store_hits + warm_stats.store_misses).max(1) as f64;
+    report.metric("warm.store_hit_rate", "ratio", hit_rate);
     println!(
-        "warm serving: {throughput:.1} req/s, service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, hit rate {:.0}%",
+        "warm serving: {:.1} req/s, service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, hit rate {:.0}%",
+        warm_phase.throughput(),
         warm_phase.slowest_client_secs(),
         hit_rate * 100.0
     );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"loops\": {loops},");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"workers\": {threads},");
-    let _ = writeln!(
-        json,
-        "  \"cores\": {},",
-        strsum_corpus::plan::detected_cores()
-    );
-    let _ = writeln!(json, "  \"timeout_secs\": {timeout},");
-    let _ = writeln!(json, "  \"compared\": {compared},");
-    let _ = writeln!(
-        json,
-        "  \"cold\": {{\"elapsed_secs\": {cold_secs:.3}, \"stats\": {}}},",
-        cold_stats.to_json()
-    );
-    let _ = writeln!(
-        json,
-        "  \"warm\": {{\"elapsed_secs\": {warm_secs:.3}, \"throughput_rps\": {throughput:.2}, \"p50_service_micros\": {p50}, \"p99_service_micros\": {p99}, \"client_round_trip_micros\": {}, \"store_hit_rate\": {hit_rate:.4}, \"stats\": {}}},",
-        warm_phase.round_trips_json(),
-        warm_stats.to_json()
-    );
-    let _ = writeln!(
-        json,
-        "  \"memo\": {{\"loops\": {tail_loops}, \"solver_conflicts\": {MEMO_CONFLICTS}, \"cold_elapsed_secs\": {tail_cold_secs:.3}, \"warm_elapsed_secs\": {tail_warm_secs:.3}, \"stats\": {}}},",
-        tail_stats.to_json()
-    );
-    let _ = writeln!(
-        json,
-        "  \"violations\": [{}],",
-        violations
-            .iter()
-            .map(|v| format!("\"{}\"", strsum_obs::escape(v)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(json, "  \"ok\": {}", violations.is_empty());
-    json.push('}');
-    write_result("BENCH_pr8.json", &json);
 
     // ---- Phase 3: mixed workload, fixed pool vs scheduler ------------
     // Half the slice is pre-warmed into each mode's store; the full
@@ -599,9 +599,9 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut sched_violations: Vec<String> = Vec::new();
-    let mut mode_json: Vec<String> = Vec::new();
+    report.config("mixed_warm_half", half as f64);
+    let mut mixed_violations = Vec::new();
+    let mut mixed_unsound = Vec::new();
     let mut throughputs: Vec<f64> = Vec::new();
     for (name, opts) in [
         ("fixed", SchedOptions::fixed(threads)),
@@ -612,106 +612,65 @@ fn main() -> ExitCode {
         // measure a fresh daemon over it.
         daemon_phase(&store, &socket, &cfg, opts, &prewarm);
         let served = daemon_phase(&store, &socket, &cfg, opts, &mixed_batches);
-        let (responses, stats, sched, secs) =
-            (&served.responses, served.stats, served.sched, served.secs);
-        let throughput = mixed.len() as f64 / secs.max(1e-9);
-        throughputs.push(throughput);
+        served.record(&mut report, name);
+        throughputs.push(served.throughput());
         let (p50, p99) = served.service_percentiles();
         println!(
-            "mixed/{name}: {} answers in {secs:.2}s ({throughput:.1} req/s), service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, {} hits, fast-lane {}, heap {}",
-            responses.len(),
+            "mixed/{name}: {} answers in {:.2}s ({:.1} req/s), service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, {} hits, fast-lane {}, heap {}",
+            served.responses.len(),
+            served.secs,
+            served.throughput(),
             served.slowest_client_secs(),
-            stats.store_hits,
-            sched.fast_lane,
-            sched.heap
+            served.stats.store_hits,
+            served.sched.fast_lane,
+            served.sched.heap
         );
         // Byte identity against the phase-1 cold answers (the batch
         // reference transitively): scheduling must be invisible in the
         // bytes, whatever the mode.
-        for resp in responses {
+        for resp in &served.responses {
             let Some(before) = cold_by_id.get(resp.id.as_str()) else {
-                sched_violations.push(format!("{name}/{}: unknown id", resp.id));
+                mixed_violations.push(format!("{name}/{}: unknown id", resp.id));
                 continue;
             };
             if response_timing_dependent(before) || response_timing_dependent(resp) {
                 continue;
             }
             if resp.summary != before.summary {
-                sched_violations.push(format!(
+                mixed_violations.push(format!(
                     "{name}/{}: mixed-workload summary differs from the cold reference",
                     resp.id
                 ));
             }
         }
-        if stats.reverified != stats.store_hits + stats.rejected {
-            sched_violations.push(format!(
-                "{name} soundness: reverified {} != hits {} + rejected {}",
-                stats.reverified, stats.store_hits, stats.rejected
-            ));
-        }
-        mode_json.push(format!(
-            "  \"{name}\": {{\"elapsed_secs\": {secs:.3}, \"throughput_rps\": {throughput:.2}, \"p50_service_micros\": {p50}, \"p99_service_micros\": {p99}, \"client_round_trip_micros\": {}, \"stats\": {}, \"sched\": {}}},",
-            served.round_trips_json(),
-            stats.to_json(),
-            sched.to_json()
-        ));
+        mixed_unsound.extend(
+            reverify_violations(&served.stats)
+                .into_iter()
+                .map(|v| format!("{name}: {v}")),
+        );
     }
+    report.gate(Gate::none("mixed_byte_identity", mixed_violations));
+    report.gate(Gate::none("mixed_soundness", mixed_unsound));
     let (fixed_rps, sched_rps) = (throughputs[0], throughputs[1]);
     let speedup = sched_rps / fixed_rps.max(1e-9);
     // The throughput gate: the scheduler must not lose to the fixed
     // pool. Hard on multi-core hosts (where ordering has room to work),
-    // informational on one core; 10% jitter allowance.
-    let gate_hard = cores > 1;
+    // a metric on one core or an unknown count; 10% jitter allowance.
+    let gate_hard = report.cores().unwrap_or(1) > 1;
     println!(
-        "mixed: scheduler {sched_rps:.1} req/s vs fixed {fixed_rps:.1} req/s ({speedup:.2}x, {} gate on {cores} cores)",
-        if gate_hard { "hard" } else { "informational" }
+        "mixed: scheduler {sched_rps:.1} req/s vs fixed {fixed_rps:.1} req/s ({speedup:.2}x, {} gate)",
+        if gate_hard { "hard" } else { "no" }
     );
-    if speedup < 0.9 {
-        let msg = format!(
-            "scheduler throughput regressed vs the fixed pool: {sched_rps:.1} < 0.9 * {fixed_rps:.1} req/s"
-        );
-        if gate_hard {
-            sched_violations.push(msg);
-        } else {
-            println!("note ({cores} core): {msg}");
-        }
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"loops\": {},", mixed.len());
-    let _ = writeln!(json, "  \"warm_half\": {half},");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"workers\": {threads},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"timeout_secs\": {timeout},");
-    for line in &mode_json {
-        let _ = writeln!(json, "{line}");
-    }
-    let _ = writeln!(json, "  \"speedup\": {speedup:.3},");
-    let _ = writeln!(json, "  \"gate_hard\": {gate_hard},");
-    let _ = writeln!(
-        json,
-        "  \"violations\": [{}],",
-        sched_violations
-            .iter()
-            .map(|v| format!("\"{}\"", strsum_obs::escape(v)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(json, "  \"ok\": {}", sched_violations.is_empty());
-    json.push('}');
-    write_result("BENCH_pr9.json", &json);
-
-    violations.extend(sched_violations);
-    let _ = std::fs::remove_dir_all(&scratch);
-    if violations.is_empty() {
-        println!("serve_audit: OK — daemon answers byte-identical to the batch runner, every store hit re-verified, scheduler holds throughput");
-        ExitCode::SUCCESS
+    if gate_hard {
+        report.gate(Gate::at_least(
+            "scheduler_throughput_vs_fixed",
+            0.9,
+            speedup,
+        ));
     } else {
-        eprintln!("serve_audit: {} violation(s):", violations.len());
-        for v in &violations {
-            eprintln!("  - {v}");
-        }
-        ExitCode::FAILURE
+        report.metric("scheduler_throughput_vs_fixed", "x", speedup);
     }
+
+    let _ = std::fs::remove_dir_all(&scratch);
+    report.finish()
 }

@@ -15,11 +15,13 @@ use strsum_gadgets::Program;
 
 pub mod cli;
 mod fault;
+pub mod report;
 mod runner;
 mod trace;
 
 pub use cli::Cli;
 pub use fault::{Fault, FaultPlan};
+pub use report::{Gate, Report};
 pub use runner::{CacheStats, CorpusReport, CorpusRunner, KindCounts, OutcomeCounts, RetryStats};
 pub use strsum_api::{LoopSpec, PlanSpec, RequestSpec, Scope};
 pub use strsum_corpus::plan::{ljf_order, PlanCounts};
@@ -246,16 +248,6 @@ pub fn write_result(name: &str, content: &str) {
     println!("\n[written to {}]", path.display());
 }
 
-pub(crate) fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-pub(crate) fn unhex(s: &str) -> Vec<u8> {
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("valid hex"))
-        .collect()
-}
-
 /// Default worker-thread count.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -297,12 +289,6 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hex_roundtrip() {
-        let bytes = b"P \t\0F";
-        assert_eq!(unhex(&hex(bytes)), bytes);
-    }
 
     #[test]
     fn median_cases() {

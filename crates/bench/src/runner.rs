@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use strsum_api::{
-    LoopSpec, Origin, RequestFlags, RequestSpec, Scope, SummaryRequest, SummaryResponse,
+    hex, unhex, LoopSpec, Origin, RequestFlags, RequestSpec, Scope, SummaryRequest, SummaryResponse,
 };
 use strsum_core::{
     Budget, BudgetKind, LoopOutcome, SolverTelemetry, Summary, SummaryKind, SynthStats,
@@ -61,8 +61,8 @@ use strsum_obs::{names, Aggregate, Collector, ToJson};
 use strsum_server::{Engine, Prepared, PreparedTask, Resolution};
 
 use crate::{
-    aggregate_screen, aggregate_telemetry, default_threads, hex, isolate, par_map, par_map_ordered,
-    results_dir, unhex, Fault, FaultPlan, LoopSynth, PlanSpec,
+    aggregate_screen, aggregate_telemetry, default_threads, isolate, par_map, par_map_ordered,
+    results_dir, Fault, FaultPlan, LoopSynth, PlanSpec,
 };
 
 /// Aggregate counts of every [`LoopOutcome`] in a run. The six variants
@@ -802,7 +802,8 @@ fn outcome_counter(outcome: &LoopOutcome) -> &'static str {
     }
 }
 
-/// Parses `results/summaries.tsv` when it covers every entry.
+/// Parses `results/summaries.tsv` when it covers every entry; `None`
+/// also when a row is not hex, so a corrupt file is re-synthesised.
 fn load_summaries(path: &std::path::Path, entries: &[LoopEntry]) -> Option<Vec<LoopSynth>> {
     let text = fs::read_to_string(path).ok()?;
     let mut map = std::collections::HashMap::new();
@@ -814,31 +815,29 @@ fn load_summaries(path: &std::path::Path, entries: &[LoopEntry]) -> Option<Vec<L
     if !entries.iter().all(|e| map.contains_key(&e.id)) {
         return None;
     }
-    Some(
-        entries
-            .iter()
-            .map(|e| {
-                let summary = match map[&e.id].as_str() {
-                    "-" => None,
-                    hexstr => Summary::decode(&unhex(hexstr)).ok(),
-                };
-                let outcome = if summary.is_some() {
-                    LoopOutcome::Summarized
-                } else {
-                    LoopOutcome::NotMemoryless
-                };
-                LoopSynth {
-                    entry: e.clone(),
-                    summary,
-                    elapsed: Duration::ZERO,
-                    failure: None,
-                    stats: SynthStats::default(),
-                    cache_hit: false,
-                    outcome,
-                }
+    entries
+        .iter()
+        .map(|e| {
+            let summary = match map[&e.id].as_str() {
+                "-" => None,
+                hexstr => Summary::decode(&unhex(hexstr)?).ok(),
+            };
+            let outcome = if summary.is_some() {
+                LoopOutcome::Summarized
+            } else {
+                LoopOutcome::NotMemoryless
+            };
+            Some(LoopSynth {
+                entry: e.clone(),
+                summary,
+                elapsed: Duration::ZERO,
+                failure: None,
+                stats: SynthStats::default(),
+                cache_hit: false,
+                outcome,
             })
-            .collect(),
-    )
+        })
+        .collect()
 }
 
 /// The strategy tallies of a run of `loops` loops, every one serial,
@@ -856,6 +855,24 @@ fn plan_counts(loops: usize) -> PlanCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_corrupt_summaries_row_loads_as_no_cache() {
+        let entries: Vec<LoopEntry> = strsum_corpus::corpus().into_iter().take(2).collect();
+        let path =
+            std::env::temp_dir().join(format!("strsum-summaries-{}.tsv", std::process::id()));
+        let write = |second: &str| {
+            let rows = format!("{}\t-\n{}\t{second}\n", entries[0].id, entries[1].id);
+            fs::write(&path, rows).expect("write scratch summaries");
+        };
+        write("-");
+        assert!(load_summaries(&path, &entries).is_some());
+        write("zz");
+        assert!(load_summaries(&path, &entries).is_none());
+        write("abc");
+        assert!(load_summaries(&path, &entries).is_none());
+        let _ = fs::remove_file(&path);
+    }
 
     /// Everything the removed nine-method builder used to configure now
     /// arrives in exactly two places: the [`PlanSpec`] at construction

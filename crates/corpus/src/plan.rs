@@ -92,14 +92,6 @@ pub fn ljf_order(keys: &[Option<u64>], book: &CostBook) -> Vec<usize> {
         .collect()
 }
 
-/// The host's detected core count (`available_parallelism`, min 2 on
-/// failure — the historical bench default).
-pub fn detected_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,12 +71,13 @@ use strsum_smt::SessionStats;
 
 use crate::store::{fnv1a, ShardedStore, VerdictKey};
 
-/// Serving counters, reported in `BENCH_pr8.json`. The soundness gate is
-/// `reverified == store_hits + rejected`: every summary pulled from the
-/// persistent store went through the bounded checker in this process
-/// lifetime, whether it was then served or tombstoned. Verdict-memo hits
-/// are neither store hits nor misses: they serve no summary and run no
-/// synthesis, whether the memo answered at admission or at resolve time.
+/// Serving counters, reported in `results/audit/serve_audit.json`. The
+/// soundness gate is `reverified == store_hits + rejected`: every summary
+/// pulled from the persistent store went through the bounded checker in
+/// this process lifetime, whether it was then served or tombstoned.
+/// Verdict-memo hits are neither store hits nor misses: they serve no
+/// summary and run no synthesis, whether the memo answered at admission
+/// or at resolve time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests served a store summary (after re-verification).

@@ -93,7 +93,7 @@ impl SchedOptions {
     }
 }
 
-/// Scheduler counters, drained for `BENCH_pr9.json`.
+/// Scheduler counters, drained for `results/audit/serve_audit.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Requests admitted to the run queue.

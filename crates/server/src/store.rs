@@ -38,6 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
+use strsum_api::{hex, unhex};
 use strsum_corpus::fingerprint_hash;
 
 /// Default shard count ([`ShardedStore::open`] with `shards = 0`).
@@ -85,23 +86,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn hex_bytes(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn unhex_bytes(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) || !s.is_ascii() {
-        return None;
-    }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
-        .collect()
-}
-
 fn fp_to_text(fp: &[u64]) -> String {
     fp.iter()
         .map(|w| format!("{w:x}"))
@@ -121,7 +105,7 @@ fn fp_from_text(s: &str) -> Option<Vec<u64>> {
 /// Renders one log line (without the newline): `op TAB fp TAB prog TAB
 /// checksum`, checksum over everything before it.
 fn render_line(op: char, fp: &[u64], prog: &[u8]) -> String {
-    let payload = format!("{op}\t{}\t{}", fp_to_text(fp), hex_bytes(prog));
+    let payload = format!("{op}\t{}\t{}", fp_to_text(fp), hex(prog));
     let sum = fnv1a(payload.as_bytes());
     format!("{payload}\t{sum:016x}")
 }
@@ -137,7 +121,7 @@ fn parse_line(line: &str) -> Option<(char, Vec<u64>, Vec<u8>)> {
     let mut parts = payload.split('\t');
     let op = parts.next()?;
     let fp = fp_from_text(parts.next()?)?;
-    let prog = unhex_bytes(parts.next()?)?;
+    let prog = unhex(parts.next()?)?;
     if parts.next().is_some() {
         return None;
     }
