@@ -358,13 +358,16 @@ pub fn hex(bytes: &[u8]) -> String {
     out
 }
 
-/// Inverse of [`hex`]; `None` on odd length or a non-hex digit.
+/// Inverse of [`hex`]; `None` on odd length or anything but two hex
+/// digits per byte (`u8::from_str_radix` would also take a `+` sign).
 pub fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) || !s.is_ascii() {
+    if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
+    let digit = |b: u8| char::from(b).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| Some(((digit(pair[0])? << 4) | digit(pair[1])?) as u8))
         .collect()
 }
 
@@ -451,6 +454,8 @@ mod tests {
         assert_eq!(unhex(&hex(&bytes)).unwrap(), bytes);
         assert_eq!(unhex("0g"), None);
         assert_eq!(unhex("0"), None);
+        assert_eq!(unhex("+f"), None);
+        assert_eq!(unhex("+0ff0"), None);
         assert_eq!(unhex(""), Some(vec![]));
     }
 }

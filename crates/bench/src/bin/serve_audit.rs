@@ -34,9 +34,10 @@
 //!
 //! Serving metrics land in `results/audit/serve_audit.json`, per phase:
 //! throughput, p50/p99 *service* time (each response's
-//! `cost.wall_micros` — preparation plus resolution, never queue wait),
-//! each wire client's batch round trip (send to reply: the latency the
-//! client observes, queue wait included), and the warm store hit rate.
+//! `cost.wall_micros` — preparation plus resolution, never queue wait,
+//! and so never a twin's wait for its twin's flight), each wire client's
+//! batch round trip (send to reply: the latency the client observes,
+//! queue and flight waits included), and the warm store hit rate.
 //!
 //! A fourth phase benchmarks the cross-request scheduler: a mixed
 //! cold/warm workload (half the loops pre-warmed into the store, the

@@ -37,9 +37,9 @@
 //! cache-hit patterns, memo answers, and the aggregated metrics table are
 //! all independent of thread scheduling *and* of the dispatch schedule
 //! (budget-exhaustion verdicts remain wall-clock-dependent — the audits
-//! classify those as timing races). Serialising a group is also what
-//! keeps the engine's single flight idle here: no two resolves of one
-//! fingerprint ever overlap, so no batch worker waits on another.
+//! classify those as timing races). The groups also do for the batch
+//! what the daemon scheduler's single flight does for its queue: no two
+//! resolves of one fingerprint ever overlap.
 
 use std::fs;
 use std::io::Write as _;
@@ -803,7 +803,8 @@ fn outcome_counter(outcome: &LoopOutcome) -> &'static str {
 }
 
 /// Parses `results/summaries.tsv` when it covers every entry; `None`
-/// also when a row is not hex, so a corrupt file is re-synthesised.
+/// also when a row is not hex or does not decode as a summary, so a
+/// corrupt file is re-synthesised.
 fn load_summaries(path: &std::path::Path, entries: &[LoopEntry]) -> Option<Vec<LoopSynth>> {
     let text = fs::read_to_string(path).ok()?;
     let mut map = std::collections::HashMap::new();
@@ -820,7 +821,7 @@ fn load_summaries(path: &std::path::Path, entries: &[LoopEntry]) -> Option<Vec<L
         .map(|e| {
             let summary = match map[&e.id].as_str() {
                 "-" => None,
-                hexstr => Summary::decode(&unhex(hexstr)?).ok(),
+                hexstr => Some(Summary::decode(&unhex(hexstr)?).ok()?),
             };
             let outcome = if summary.is_some() {
                 LoopOutcome::Summarized
@@ -870,6 +871,8 @@ mod tests {
         write("zz");
         assert!(load_summaries(&path, &entries).is_none());
         write("abc");
+        assert!(load_summaries(&path, &entries).is_none());
+        write("ff");
         assert!(load_summaries(&path, &entries).is_none());
         let _ = fs::remove_file(&path);
     }

@@ -48,9 +48,6 @@ pub const STORE_REJECTED: &str = "store.rejected";
 pub const STORE_VERDICT_HIT: &str = "store.verdict_hit";
 /// One deterministic negative was recorded into the verdict memo.
 pub const STORE_VERDICT_STORED: &str = "store.verdict_stored";
-/// One resolve waited for another resolve of the same fingerprint to
-/// return before it looked at the store (the engine's single flight).
-pub const FLIGHT_WAIT: &str = "engine.flight_waits";
 
 /// One request admitted to the daemon scheduler's run queue.
 pub const SCHED_ADMITTED: &str = "sched.admitted";
@@ -59,6 +56,9 @@ pub const SCHED_ADMITTED: &str = "sched.admitted";
 pub const SCHED_FAST_LANE: &str = "sched.fast_lane";
 /// One request dispatched from the scheduler's synthesis queue.
 pub const SCHED_HEAP: &str = "sched.heap";
+/// One queued task had to let a twin (same fingerprint) land its flight
+/// before it could run: the scheduler's single flight.
+pub const FLIGHT_WAIT: &str = "sched.flight_waits";
 /// One idle connection was closed by the per-connection read timeout.
 pub const SCHED_IDLE_CLOSED: &str = "sched.idle_closed";
 /// One connection was closed for sending a frame over the daemon's

@@ -13,11 +13,11 @@
 //!   like the batch runner, so the daemon's answers are byte-identical
 //!   to `CorpusRunner`'s. Split at
 //!   the pipeline boundary into [`Engine::prepare`] / [`Engine::finish`]
-//!   for the scheduler; copies of one loop resolving together share one
-//!   synthesis through a per-fingerprint single flight.
+//!   for the scheduler.
 //! - [`sched`] — the cross-request scheduler: a fast lane for store
 //!   hits and interactive requests, and a queue that runs syntheses
-//!   normal priority before bulk, each in admission order.
+//!   normal priority before bulk, each in admission order; copies of one
+//!   loop admitted together wait there while one resolves (single flight).
 //! - [`daemon`] — the service shell: line-framed stdin/stdout and
 //!   Unix-socket front ends (with per-connection idle timeouts)
 //!   speaking the `strsum-api` wire protocol, graceful drain on
