@@ -29,6 +29,6 @@ pub use plan::PlanSpec;
 pub use spec::{LoopSpec, RequestSpec, Scope};
 pub use wire::{
     decode_frame, encode_frame, parse_outcome, BatchRequest, BatchResponse, Cost, DecodeError,
-    Frame, Origin, Priority, RequestFlags, SourceSpec, SummaryRequest, SummaryResponse, WireError,
+    Frame, Origin, RequestFlags, SourceSpec, SummaryRequest, SummaryResponse, WireError,
     WIRE_VERSION,
 };

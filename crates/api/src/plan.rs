@@ -2,8 +2,8 @@
 //!
 //! Only the batch runner reads a plan. The wire still accepts the `plan`
 //! object v1 requests carry, checks its mode with [`PlanSpec::parse`],
-//! and drops it: the daemon queues syntheses by priority and admission
-//! order and reads no cost book. This module is pure data: the
+//! and drops it: the daemon queues syntheses in admission order and
+//! reads no cost book. This module is pure data: the
 //! longest-job-first ordering over the cost book lives in
 //! `strsum-corpus::plan`, and the batch runner is its only user.
 

@@ -70,48 +70,6 @@ impl Default for RequestFlags {
     }
 }
 
-/// Scheduling priority of one request, consulted by the daemon's
-/// cross-request scheduler. Priority changes *when* a request runs,
-/// never *what* it answers — the determinism contract makes scheduling
-/// byte-invisible.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Priority {
-    /// Always dispatched through the scheduler's fast lane, ahead of
-    /// queued synthesis — for latency-sensitive callers (an IDE
-    /// keystroke) that would rather wait on their own synthesis than on
-    /// someone else's.
-    Interactive,
-    /// Fast lane on a store hit, otherwise queued in admission order
-    /// (the default).
-    #[default]
-    Normal,
-    /// Never takes the fast lane, and queues behind every normal
-    /// request — for best-effort backfill (a corpus pre-warmer) that
-    /// must not push interactive traffic's p50 around.
-    Bulk,
-}
-
-impl Priority {
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Normal => "normal",
-            Priority::Bulk => "bulk",
-        }
-    }
-
-    /// The [`Priority`] behind a wire label.
-    pub fn parse(label: &str) -> Option<Priority> {
-        Some(match label {
-            "interactive" => Priority::Interactive,
-            "normal" => Priority::Normal,
-            "bulk" => Priority::Bulk,
-            _ => return None,
-        })
-    }
-}
-
 /// One loop-summary request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SummaryRequest {
@@ -123,9 +81,6 @@ pub struct SummaryRequest {
     pub budget: Option<Budget>,
     /// Engine toggles.
     pub flags: RequestFlags,
-    /// Scheduling priority. Omitted on the wire when `Normal`, so
-    /// pre-priority frames decode (and re-encode) unchanged.
-    pub priority: Priority,
 }
 
 impl SummaryRequest {
@@ -136,14 +91,7 @@ impl SummaryRequest {
             source: SourceSpec::C(source.into()),
             budget: None,
             flags: RequestFlags::default(),
-            priority: Priority::Normal,
         }
-    }
-
-    /// Same request at a different scheduling priority.
-    pub fn priority(mut self, priority: Priority) -> SummaryRequest {
-        self.priority = priority;
-        self
     }
 }
 
@@ -378,9 +326,6 @@ fn request_fields(r: &SummaryRequest, out: &mut String) {
         out.push_str(&format!(",\"budget\":{}", budget_obj(b)));
     }
     out.push_str(&format!(",\"flags\":{}", flags_obj(&r.flags)));
-    if r.priority != Priority::Normal {
-        out.push_str(&format!(",\"priority\":\"{}\"", r.priority.label()));
-    }
 }
 
 fn response_fields(r: &SummaryResponse, out: &mut String) {
@@ -546,6 +491,17 @@ fn check_plan(obj: &Json) -> Result<(), DecodeError> {
     Ok(())
 }
 
+/// Validates the `priority` label v1 clients may still send, then lets
+/// it go: the daemon runs every request through one queue in admission
+/// order. An unknown label is still a decode error, as it always was.
+fn check_priority(label: &Json) -> Result<(), DecodeError> {
+    match label.as_str() {
+        Some("interactive" | "normal" | "bulk") => Ok(()),
+        Some(other) => Err(DecodeError::new(format!("unknown priority {other:?}"))),
+        None => Err(DecodeError::new("field \"priority\" is not a string")),
+    }
+}
+
 fn decode_flags(obj: &Json) -> Result<RequestFlags, DecodeError> {
     let d = RequestFlags::default();
     Ok(RequestFlags {
@@ -596,22 +552,15 @@ fn decode_request(obj: &Json) -> Result<SummaryRequest, DecodeError> {
         None => RequestFlags::default(),
         Some(f) => decode_flags(f)?,
     };
-    let priority = match obj.get("priority") {
-        None | Some(Json::Null) => Priority::Normal,
-        Some(v) => {
-            let label = v
-                .as_str()
-                .ok_or_else(|| DecodeError::new("field \"priority\" is not a string"))?;
-            Priority::parse(label)
-                .ok_or_else(|| DecodeError::new(format!("unknown priority {label:?}")))?
-        }
-    };
+    match obj.get("priority") {
+        None | Some(Json::Null) => {}
+        Some(p) => check_priority(p)?,
+    }
     Ok(SummaryRequest {
         id,
         source,
         budget,
         flags,
-        priority,
     })
 }
 
@@ -771,27 +720,25 @@ mod tests {
         assert_eq!(decode_frame(&line).unwrap(), frame);
     }
 
+    /// Request priorities left the daemon: a v1 frame's `priority` label
+    /// is checked and dropped. Every known label decodes to the request
+    /// without it and re-encodes without the field; an unknown label or
+    /// a non-string value is still a decode error.
     #[test]
-    fn priority_round_trips_and_defaults_off_the_wire() {
-        for p in [Priority::Interactive, Priority::Bulk] {
-            let frame = Frame::Summary(SummaryRequest::c("p", "while (*s) s++;").priority(p));
+    fn priority_labels_are_checked_and_dropped() {
+        let with_priority = |label: &str| {
+            format!("{{\"v\":1,\"type\":\"summary\",\"id\":\"x\",\"source\":\"\",\"priority\":{label}}}")
+        };
+        let plain = Frame::Summary(SummaryRequest::c("x", ""));
+        for label in ["\"interactive\"", "\"normal\"", "\"bulk\"", "null"] {
+            let frame = decode_frame(&with_priority(label)).unwrap();
+            assert_eq!(frame, plain, "{label}");
             let line = encode_frame(&frame);
-            assert!(line.contains("priority"), "{line}");
-            assert_eq!(decode_frame(&line).unwrap(), frame);
+            assert!(!line.contains("priority"), "{line}");
         }
-        // Normal is the wire default and stays off the frame, so
-        // pre-priority clients and servers interoperate unchanged.
-        let frame = Frame::Summary(SummaryRequest::c("n", "while (*s) s++;"));
-        let line = encode_frame(&frame);
-        assert!(!line.contains("priority"), "{line}");
-        match decode_frame(&line).unwrap() {
-            Frame::Summary(r) => assert_eq!(r.priority, Priority::Normal),
-            other => panic!("wrong frame: {other:?}"),
+        for bad in ["\"urgent\"", "1", "{}"] {
+            assert!(decode_frame(&with_priority(bad)).is_err(), "{bad}");
         }
-        assert!(decode_frame(
-            "{\"v\":1,\"type\":\"summary\",\"id\":\"x\",\"source\":\"\",\"priority\":\"urgent\"}"
-        )
-        .is_err());
     }
 
     /// `portfolio` left the plan vocabulary: a frame naming it gets the

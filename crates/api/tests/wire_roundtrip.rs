@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use strsum_api::{
-    decode_frame, encode_frame, BatchRequest, BatchResponse, Cost, Frame, Origin, Priority,
-    RequestFlags, SourceSpec, SummaryRequest, SummaryResponse, WireError,
+    decode_frame, encode_frame, BatchRequest, BatchResponse, Cost, Frame, Origin, RequestFlags,
+    SourceSpec, SummaryRequest, SummaryResponse, WireError,
 };
 use strsum_core::{Budget, BudgetKind, LoopOutcome, SolverTelemetry, SummaryKind};
 use strsum_smt::SessionStats;
@@ -52,10 +52,9 @@ fn any_request() -> impl Strategy<Value = SummaryRequest> {
         any_source(),
         prop_oneof![Just(None), any_budget().prop_map(Some)],
         (any::<bool>(), any::<bool>(), any::<bool>()),
-        proptest::sample::select(&[Priority::Interactive, Priority::Normal, Priority::Bulk][..]),
     )
         .prop_map(
-            |(id, source, budget, (store, screen, theory), priority)| SummaryRequest {
+            |(id, source, budget, (store, screen, theory))| SummaryRequest {
                 id,
                 source,
                 budget,
@@ -64,7 +63,6 @@ fn any_request() -> impl Strategy<Value = SummaryRequest> {
                     screen,
                     theory_fast_path: theory,
                 },
-                priority,
             },
         )
 }
@@ -203,18 +201,19 @@ proptest! {
     }
 
     /// A v1 plan object, in any mode the wire ever accepted (the retired
-    /// `cubed` and `adaptive` included), is validated and dropped: the
-    /// request decodes to the one without it.
+    /// `cubed` and `adaptive` included), and a v1 priority label are
+    /// validated and dropped: the request decodes to the one without them.
     #[test]
     fn every_plan_mode_decodes_as_serial(
         req in any_request(),
         mode in proptest::sample::select(&["serial", "cubed", "adaptive"][..]),
         cubes in any::<u64>(),
         cost_order in any::<bool>(),
+        priority in proptest::sample::select(&["interactive", "normal", "bulk"][..]),
     ) {
         let line = encode_frame(&Frame::Summary(req.clone()));
         let plan = format!(
-            ",\"plan\":{{\"mode\":\"{mode}\",\"cubes\":{cubes},\"cost_order\":{cost_order}}}}}"
+            ",\"plan\":{{\"mode\":\"{mode}\",\"cubes\":{cubes},\"cost_order\":{cost_order}}},\"priority\":\"{priority}\"}}"
         );
         let with_plan = format!("{}{plan}", &line[..line.len() - 1]);
         prop_assert_eq!(decode_frame(&with_plan).ok(), Some(Frame::Summary(req)));

@@ -39,16 +39,18 @@
 //! batch round trip (send to reply: the latency the client observes,
 //! queue and flight waits included), and the warm store hit rate.
 //!
-//! A fourth phase benchmarks the cross-request scheduler: a mixed
+//! A fourth phase benchmarks the scheduler's fast lane: a mixed
 //! cold/warm workload (half the loops pre-warmed into the store, the
 //! full slice then replayed by concurrent clients with warm and cold
 //! requests interleaved) is served twice over identical stores — once
-//! under the FIFO fixed pool (PR 8 behaviour, `SchedOptions::fixed`)
-//! and once under the scheduler (fast lane for store hits, syntheses
-//! queued in admission order). Both runs must stay
+//! in the `fixed` mode, fast lane off (`SchedOptions::fixed`: every
+//! request, store hits included, waits in the one run queue in
+//! admission order), and once `scheduled`, fast lane on (store hits
+//! finish on the spot). The ratio of the two is what the fast lane
+//! adds. Both runs must stay
 //! byte-identical to the batch reference (`mixed_byte_identity`) and
-//! pass the soundness gate (`mixed_soundness`); the scheduler must not
-//! lose throughput against the fixed pool
+//! pass the soundness gate (`mixed_soundness`); the fast lane must not
+//! lose throughput against the fixed mode
 //! (`scheduler_throughput_vs_fixed` ≥ 0.9×: a hard gate on multi-core
 //! hosts, a metric on one core or an unknown core count, with a 10%
 //! measurement-jitter allowance).
@@ -565,7 +567,7 @@ fn main() -> ExitCode {
         hit_rate * 100.0
     );
 
-    // ---- Phase 3: mixed workload, fixed pool vs scheduler ------------
+    // ---- Phase 3: mixed workload, fast lane off vs on -----------------
     // Half the slice is pre-warmed into each mode's store; the full
     // slice is then replayed with warm and cold requests interleaved,
     // so cheap hits compete with cold syntheses for the queue — the
@@ -604,9 +606,9 @@ fn main() -> ExitCode {
     let mut mixed_violations = Vec::new();
     let mut mixed_unsound = Vec::new();
     let mut throughputs: Vec<f64> = Vec::new();
-    for (name, opts) in [
-        ("fixed", SchedOptions::fixed(threads)),
-        ("scheduled", SchedOptions::scheduled(threads)),
+    for (name, lane, opts) in [
+        ("fixed", "off", SchedOptions::fixed(threads)),
+        ("scheduled", "on", SchedOptions::scheduled(threads)),
     ] {
         let store = scratch.join(format!("store-{name}"));
         // Pre-warm: populate the store with the warm half, then
@@ -617,7 +619,7 @@ fn main() -> ExitCode {
         throughputs.push(served.throughput());
         let (p50, p99) = served.service_percentiles();
         println!(
-            "mixed/{name}: {} answers in {:.2}s ({:.1} req/s), service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, {} hits, fast-lane {}, heap {}",
+            "mixed/{name} (fast lane {lane}): {} answers in {:.2}s ({:.1} req/s), service p50 {p50}µs, p99 {p99}µs, slowest client round trip {:.2}s, {} hits, fast-lane {}, heap {}",
             served.responses.len(),
             served.secs,
             served.throughput(),
@@ -654,12 +656,12 @@ fn main() -> ExitCode {
     report.gate(Gate::none("mixed_soundness", mixed_unsound));
     let (fixed_rps, sched_rps) = (throughputs[0], throughputs[1]);
     let speedup = sched_rps / fixed_rps.max(1e-9);
-    // The throughput gate: the scheduler must not lose to the fixed
-    // pool. Hard on multi-core hosts (where ordering has room to work),
+    // The throughput gate: the fast lane must not lose to the fixed
+    // mode. Hard on multi-core hosts (where ordering has room to work),
     // a metric on one core or an unknown count; 10% jitter allowance.
     let gate_hard = report.cores().unwrap_or(1) > 1;
     println!(
-        "mixed: scheduler {sched_rps:.1} req/s vs fixed {fixed_rps:.1} req/s ({speedup:.2}x, {} gate)",
+        "mixed: scheduled {sched_rps:.1} req/s vs fixed (fast lane off) {fixed_rps:.1} req/s ({speedup:.2}x, {} gate)",
         if gate_hard { "hard" } else { "no" }
     );
     if gate_hard {

@@ -4,7 +4,6 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -12,6 +11,7 @@ use std::time::Duration;
 use strsum_core::{LoopOutcome, ScreenStats, SolverTelemetry, Summary, SummaryKind, SynthStats};
 use strsum_corpus::LoopEntry;
 use strsum_gadgets::Program;
+use strsum_server::isolate;
 
 pub mod cli;
 mod fault;
@@ -115,21 +115,6 @@ pub fn par_map_ordered<T: Sync, R: Send>(
 ) -> Vec<Result<R, String>> {
     assert_eq!(order.len(), items.len(), "order must cover every item");
     par_map_inner(items, threads, Some(order), f)
-}
-
-/// Runs `f`, turning a panic into `Err(the message it carried)`.
-/// `AssertUnwindSafe` is justified because a panicking call's partial
-/// state dies here — only the `Err` crosses the boundary.
-pub(crate) fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic of unknown type".to_string()
-        }
-    })
 }
 
 fn par_map_inner<T: Sync, R: Send>(

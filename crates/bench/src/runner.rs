@@ -58,11 +58,11 @@ use strsum_corpus::plan::{ljf_order, PlanCounts};
 use strsum_corpus::{App, CostBook, CostStat, LoopEntry, RecordedOutcome};
 use strsum_gadgets::Program;
 use strsum_obs::{names, Aggregate, Collector, ToJson};
-use strsum_server::{Engine, Prepared, PreparedTask, Resolution};
+use strsum_server::{isolate, Engine, Prepared, PreparedTask, Resolution};
 
 use crate::{
-    aggregate_screen, aggregate_telemetry, default_threads, isolate, par_map, par_map_ordered,
-    results_dir, Fault, FaultPlan, LoopSynth, PlanSpec,
+    aggregate_screen, aggregate_telemetry, default_threads, par_map, par_map_ordered, results_dir,
+    Fault, FaultPlan, LoopSynth, PlanSpec,
 };
 
 /// Aggregate counts of every [`LoopOutcome`] in a run. The six variants

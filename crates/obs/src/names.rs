@@ -51,8 +51,8 @@ pub const STORE_VERDICT_STORED: &str = "store.verdict_stored";
 
 /// One request admitted to the daemon scheduler's run queue.
 pub const SCHED_ADMITTED: &str = "sched.admitted";
-/// One request dispatched through the scheduler's fast lane (store hit
-/// or interactive priority).
+/// One request dispatched through the scheduler's fast lane (a store
+/// hit, finished on the spot).
 pub const SCHED_FAST_LANE: &str = "sched.fast_lane";
 /// One request dispatched from the scheduler's synthesis queue.
 pub const SCHED_HEAP: &str = "sched.heap";

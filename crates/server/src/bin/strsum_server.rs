@@ -31,10 +31,10 @@ const USAGE: &str = "usage: strsum-server [--store DIR] [--shards N] [--workers 
 
 Serves the strsum wire protocol (one JSON frame per line) on
 stdin/stdout, or on a Unix socket when --socket is given. Store hits
-and interactive requests answer at once; syntheses queue normal
-priority before bulk, each in admission order, and each runs the
-serial candidate search on one worker. A v1 request's `plan` object
-is checked and then ignored.
+answer at once; every other request queues in admission order, and
+each synthesis runs the serial candidate search on one worker. A v1
+request's `plan` object and `priority` label are checked and then
+ignored.
 
   --store DIR      summary store directory (default: results/store)
   --shards N       shard count for a fresh store (default: 8)

@@ -7,9 +7,8 @@
 //! progress concurrently — the run queue is shared, so four clients
 //! replaying a corpus each keep every worker busy, and the scheduler
 //! (not arrival order) decides what runs next. See [`crate::sched`] for
-//! the queueing policy; [`Daemon::start`] uses the fast lane and the
-//! priority queue, [`Daemon::with_options`] pins any other
-//! configuration.
+//! the queueing policy; [`Daemon::start`] runs the fast lane and the
+//! run queue, [`Daemon::with_options`] pins any other configuration.
 //!
 //! Shutdown is a drain, not an abort: a `shutdown` frame (or EOF) stops
 //! intake on that connection; the daemon then finishes every request
@@ -99,13 +98,13 @@ pub struct Daemon {
 
 impl Daemon {
     /// Spawns `workers` threads (min 1) serving requests on `engine`
-    /// under the fast lane and the priority queue.
+    /// under the fast lane and the run queue.
     pub fn start(engine: Arc<Engine>, workers: usize) -> Daemon {
         Daemon::with_options(engine, SchedOptions::scheduled(workers))
     }
 
     /// Spawns a daemon under an explicit scheduler configuration (the
-    /// FIFO baseline, a custom queue depth).
+    /// fast lane off, a custom queue depth).
     pub fn with_options(engine: Arc<Engine>, opts: SchedOptions) -> Daemon {
         let sched = Scheduler::start(Arc::clone(&engine), opts);
         Daemon { engine, sched }

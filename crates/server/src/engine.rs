@@ -106,8 +106,8 @@ pub enum Prepared {
 }
 
 /// A compiled request between the pipeline halves. Owning the IR means
-/// `finish` never re-parses; the scheduler only reads the priority and
-/// store presence.
+/// `finish` never re-parses; the scheduler reads only the store flag,
+/// the store presence and the fingerprint hash.
 pub struct PreparedTask {
     pub(crate) req: SummaryRequest,
     pub(crate) func: strsum_ir::Func,
@@ -123,18 +123,6 @@ impl PreparedTask {
     /// key.
     pub fn key(&self) -> u64 {
         self.key
-    }
-
-    /// Whether the store held this fingerprint at preparation time (a
-    /// fast-lane candidate: finishing is one re-verification, not a
-    /// synthesis).
-    pub fn store_present(&self) -> bool {
-        self.store_present
-    }
-
-    /// The request's scheduling priority.
-    pub fn priority(&self) -> strsum_api::Priority {
-        self.req.priority
     }
 
     /// The synthesis configuration the back half will run under, for

@@ -15,9 +15,9 @@
 //!   the pipeline boundary into [`Engine::prepare`] / [`Engine::finish`]
 //!   for the scheduler.
 //! - [`sched`] — the cross-request scheduler: a fast lane for store
-//!   hits and interactive requests, and a queue that runs syntheses
-//!   normal priority before bulk, each in admission order; copies of one
-//!   loop admitted together wait there while one resolves (single flight).
+//!   hits, and one queue that runs everything else in admission order;
+//!   copies of one loop admitted together wait there while one resolves
+//!   (single flight). A job that panics answers `crashed`.
 //! - [`daemon`] — the service shell: line-framed stdin/stdout and
 //!   Unix-socket front ends (with per-connection idle timeouts)
 //!   speaking the `strsum-api` wire protocol, graceful drain on
@@ -30,5 +30,5 @@ pub mod store;
 
 pub use daemon::{serve_unix_socket, Daemon, DEFAULT_IDLE_TIMEOUT};
 pub use engine::{memoizable, Engine, EngineStats, Prepared, PreparedTask, Resolution};
-pub use sched::{Policy, SchedOptions, SchedStats, Scheduler, DEFAULT_QUEUE_DEPTH};
+pub use sched::{isolate, Policy, SchedOptions, SchedStats, Scheduler, DEFAULT_QUEUE_DEPTH};
 pub use store::{ShardedStore, VerdictKey, DEFAULT_SHARDS};

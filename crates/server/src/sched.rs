@@ -1,29 +1,31 @@
-//! The cross-request scheduler: a shared run queue with a fast lane for
-//! cheap finishes and a priority queue for syntheses.
+//! The cross-request scheduler: one run queue, and a fast lane for
+//! store hits.
 //!
 //! The fixed pool this replaces pulled requests FIFO from one mpsc
 //! channel, so a cheap store hit queued behind a 30-second synthesis.
 //! This scheduler separates the two:
 //!
-//! - **Two lanes.** Admitted requests enter a raw intake queue; any
+//! - **Fast lane.** Admitted requests enter a raw intake queue; any
 //!   worker pops raw work, runs [`Engine::prepare`] (decode → compile →
-//!   fingerprint → store probe), and classifies it. Store hits and
-//!   interactive-priority requests finish on the spot (the *fast
-//!   lane*); every other task waits in the queue. Workers always drain
-//!   raw work before popping the queue, so a cache hit never waits
-//!   behind a synthesis: p50 for warm traffic stays flat under cold
-//!   load.
-//! - **Priority, then admission order.** The queue pops normal-priority
-//!   tasks before bulk ones, each in admission order, so no request
-//!   starves behind later arrivals of its own priority.
+//!   fingerprint → store probe), and classifies it. A store hit finishes
+//!   on the spot (the *fast lane*: one bounded re-verification); every
+//!   other task waits in the run queue. Workers always drain raw work
+//!   before popping the queue, so a cache hit never waits behind a
+//!   synthesis: p50 for warm traffic stays flat under cold load.
+//! - **Admission order.** The queue pops in admission order, so no
+//!   request starves behind later arrivals.
 //! - **Single flight.** A task that uses the store and whose fingerprint
-//!   the store did not hold at admission holds its fingerprint's flight
-//!   while it runs. A twin (same fingerprint hash) keeps its place in the
-//!   queue, or is queued in front if due on the spot, while workers pop
-//!   other work. The flight lands on every exit, unwinding included, and
-//!   wakes the workers; the twin then resolves the ordinary way (store
-//!   hit, memo, or its own synthesis). No worker sleeps on a flight, and
-//!   none exits while one is out, so every twin is popped.
+//!   the store did not hold at admission takes its fingerprint's flight
+//!   when the queue hands it out, and holds it while it runs. A twin
+//!   (same fingerprint hash) keeps its place in the queue while workers
+//!   pop other work. The flight lands on every exit and wakes the
+//!   workers; the twin then resolves the ordinary way (store hit, memo,
+//!   or its own synthesis). A fast-lane task never holds a flight. No
+//!   worker sleeps on a flight, and none exits while one is out, so
+//!   every twin is popped.
+//! - **Panic boundary.** Each job's `prepare` and `finish` run under
+//!   [`isolate`]: a job that panics answers `crashed` with the panic's
+//!   message, its flight lands, and its worker keeps serving.
 //!
 //! The daemon keeps no cost estimates. A summary depends only on the
 //! loop and its budget, never on when it runs, and cost ordering of a
@@ -34,18 +36,19 @@
 //!
 //! Determinism: scheduling changes *when* work runs, never what it
 //! computes, and responses are slotted by admission index. The
-//! [`Policy::Fifo`] variant disables both lanes (every request runs on
-//! the spot in arrival order; the queue holds only twins of a task in
-//! flight) and is the baseline the `serve_audit` benchmark compares
-//! against.
+//! [`Policy::Fifo`] variant is the same queue with the fast lane off
+//! (every prepared task queues, store hits included) and is the baseline
+//! the `serve_audit` benchmark compares against.
 
 use std::collections::{HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use strsum_api::{Priority, SummaryRequest, SummaryResponse};
+use strsum_api::{SummaryRequest, SummaryResponse};
+use strsum_core::LoopOutcome;
 use strsum_obs::names;
 
 use crate::engine::{Engine, Prepared, PreparedTask};
@@ -54,14 +57,14 @@ use crate::engine::{Engine, Prepared, PreparedTask};
 /// blocks (backpressure, not rejection).
 pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
-/// How the run queue orders admitted work.
+/// Whether store hits skip the run queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// Arrival order, no fast lane — the fixed pool, kept as the
-    /// benchmark baseline.
+    /// The fast lane off: every prepared task queues, store hits
+    /// included. The benchmark baseline.
     Fifo,
-    /// Fast lane for store hits and interactive requests, then a queue
-    /// popping normal priority before bulk, each in admission order.
+    /// Store hits finish on the spot (the fast lane); every other task
+    /// queues.
     Lanes,
 }
 
@@ -72,12 +75,12 @@ pub struct SchedOptions {
     pub workers: usize,
     /// Admission-queue bound (min 1); intake blocks at the bound.
     pub queue_depth: usize,
-    /// Queue ordering policy.
+    /// Fast lane on or off.
     pub policy: Policy,
 }
 
 impl SchedOptions {
-    /// The default: fast lane plus priority queue over `workers` threads.
+    /// The default: fast lane plus run queue over `workers` threads.
     pub fn scheduled(workers: usize) -> SchedOptions {
         SchedOptions {
             workers: workers.max(1),
@@ -86,7 +89,7 @@ impl SchedOptions {
         }
     }
 
-    /// The fixed pool: FIFO. Benchmark baseline.
+    /// The run queue with the fast lane off. Benchmark baseline.
     pub fn fixed(workers: usize) -> SchedOptions {
         SchedOptions {
             workers: workers.max(1),
@@ -125,6 +128,22 @@ impl strsum_obs::ToJson for SchedStats {
     }
 }
 
+/// Runs `f`, turning a panic into `Err(the message it carried)`: the
+/// panic boundary of the daemon's jobs and of the batch runner's loops.
+/// `AssertUnwindSafe` is justified because a panicking call's partial
+/// state dies here — only the `Err` crosses the boundary.
+pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "panic of unknown type".to_string()
+        }
+    })
+}
+
 /// One admitted unit of work: a request plus where its response goes
 /// (slot `index` of the submitting frame).
 struct Job {
@@ -150,56 +169,17 @@ fn flight(task: &PreparedTask) -> Option<u64> {
     (task.req.flags.store && !task.store_present).then_some(task.key)
 }
 
-/// Whether a prepared task finishes on the fast lane: store hits (one
-/// bounded re-verification) and interactive requests. Bulk never rides
-/// the fast lane, so a bulk replay of a warm store cannot crowd out
-/// normal traffic.
-fn fast_lane(priority: Priority, store_present: bool) -> bool {
-    match priority {
-        Priority::Interactive => true,
-        Priority::Normal => store_present,
-        Priority::Bulk => false,
-    }
-}
-
-/// The waiting tasks: normal priority pops before bulk, each in
-/// admission order.
-struct RunQueue<T> {
-    normal: VecDeque<T>,
-    bulk: VecDeque<T>,
-}
-
-impl<T> RunQueue<T> {
-    fn new() -> Self {
-        RunQueue {
-            normal: VecDeque::new(),
-            bulk: VecDeque::new(),
-        }
-    }
-
-    fn push(&mut self, priority: Priority, item: T) {
-        match priority {
-            Priority::Bulk => self.bulk.push_back(item),
-            Priority::Interactive | Priority::Normal => self.normal.push_back(item),
-        }
-    }
-
-    /// Pops the first task, normal before bulk, that `held` does not
-    /// hold back; the tasks passed over keep their places.
-    fn pop(&mut self, mut held: impl FnMut(&mut T) -> bool) -> Option<T> {
-        [&mut self.normal, &mut self.bulk]
-            .into_iter()
-            .find_map(|lane| {
-                let i = lane.iter_mut().position(|t| !held(t))?;
-                lane.remove(i)
-            })
-    }
+/// Removes the first task, in admission order, that `held` does not
+/// hold back; the tasks passed over keep their places.
+fn pop<T>(queue: &mut VecDeque<T>, mut held: impl FnMut(&mut T) -> bool) -> Option<T> {
+    let i = queue.iter_mut().position(|t| !held(t))?;
+    queue.remove(i)
 }
 
 /// Queue state under the scheduler mutex.
 struct QueueState {
     raw: VecDeque<Job>,
-    queue: RunQueue<Queued>,
+    queue: VecDeque<Queued>,
     /// Fingerprint hashes in flight.
     flights: HashSet<u64>,
     /// Admitted but unanswered (backpressure counter).
@@ -235,7 +215,7 @@ impl Scheduler {
             opts,
             state: Mutex::new(QueueState {
                 raw: VecDeque::new(),
-                queue: RunQueue::new(),
+                queue: VecDeque::new(),
                 flights: HashSet::new(),
                 pending: 0,
                 closed: false,
@@ -331,14 +311,13 @@ fn worker_loop(shared: &Shared) {
                 // The first task whose twin is not in flight takes its
                 // own flight as it leaves the queue.
                 let QueueState { queue, flights, .. } = &mut *st;
-                if let Some(item) = queue.pop(|q| held_back(shared, flights, q)) {
+                if let Some(item) = pop(queue, |q| held_back(shared, flights, q)) {
                     flights.extend(flight(&item.task));
                     shared.queue_pops.fetch_add(1, Ordering::Relaxed);
                     strsum_obs::counter(names::SCHED_HEAP, "server", 1);
                     break Work::Heavy(item);
                 }
-                // A flight still out may release a twin, even one whose
-                // leader is unwinding: stay to pop it.
+                // A flight still out may release a twin: stay to pop it.
                 if st.closed && st.flights.is_empty() {
                     return;
                 }
@@ -352,51 +331,51 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Prepares one admitted request and finishes it on the spot (refusals,
-/// the fast lane, every task under [`Policy::Fifo`]) or queues it. A
-/// task due on the spot whose twin is in flight is queued in front.
+/// Prepares one admitted request, then sends the answer preparing gave
+/// (a refusal or a memo answer), finishes it on the fast lane, or queues
+/// it.
 fn run_raw(shared: &Shared, job: Job) {
     let Job { req, index, reply } = job;
-    let task = match shared.engine.prepare(req) {
+    let id = req.id.clone();
+    let prepared = isolate(|| shared.engine.prepare(req))
+        .unwrap_or_else(|msg| Prepared::Done(crashed(id, msg)));
+    let task = match prepared {
         Prepared::Done(resp) => return complete(shared, &reply, index, resp),
         Prepared::Task(task) => Box::new(task),
     };
-    let fifo = shared.opts.policy == Policy::Fifo;
-    let on_the_spot = fifo || fast_lane(task.priority(), task.store_present());
-    let mut item = Queued {
+    let item = Queued {
         task,
         index,
         reply,
         waited: false,
     };
-    if on_the_spot {
-        if let Some(key) = flight(&item.task) {
-            let mut st = shared.state.lock().expect("scheduler lock");
-            if held_back(shared, &st.flights, &mut item) {
-                // Its twin's landing wakes the workers.
-                st.queue.normal.push_front(item);
-                return;
-            }
-            st.flights.insert(key);
-        }
-        if !fifo {
-            shared.fast_lane.fetch_add(1, Ordering::Relaxed);
-            strsum_obs::counter(names::SCHED_FAST_LANE, "server", 1);
-        }
+    if shared.opts.policy == Policy::Lanes && item.task.store_present {
+        shared.fast_lane.fetch_add(1, Ordering::Relaxed);
+        strsum_obs::counter(names::SCHED_FAST_LANE, "server", 1);
         return run(shared, item);
     }
     let mut st = shared.state.lock().expect("scheduler lock");
-    st.queue.push(item.task.priority(), item);
+    st.queue.push_back(item);
     drop(st);
     shared.work_cv.notify_one();
 }
 
-/// Finishes one task, holding its flight (which the caller took) until
-/// the answer is sent.
+/// Finishes one task, holding its flight (taken when the queue handed it
+/// out; a fast-lane task has none) until the answer is sent.
 fn run(shared: &Shared, item: Queued) {
     let _flight = flight(&item.task).map(|key| Flight { shared, key });
-    let resp = shared.engine.finish(*item.task, 1);
+    let id = item.task.req.id.clone();
+    let resp =
+        isolate(|| shared.engine.finish(*item.task, 1)).unwrap_or_else(|msg| crashed(id, msg));
     complete(shared, &item.reply, item.index, resp);
+}
+
+/// The answer to a job that panicked: outcome `crashed` with the panic's
+/// message as `crash_msg` and `failure`, as the batch runner records it.
+fn crashed(id: String, msg: String) -> SummaryResponse {
+    let mut resp = SummaryResponse::new(id, LoopOutcome::Crashed(msg.clone()));
+    resp.failure = Some(msg);
+    resp
 }
 
 /// A held flight. Dropping it, on return or while unwinding, lands it
@@ -544,48 +523,24 @@ mod tests {
     }
 
     #[test]
-    fn queue_pops_normal_before_bulk_in_admission_order() {
-        use Priority::{Bulk, Interactive, Normal};
-        let mut queue = RunQueue::new();
-        for (seq, priority) in [Bulk, Normal, Bulk, Normal, Normal].into_iter().enumerate() {
-            queue.push(priority, seq);
-        }
-        assert_eq!(queue.pop(|_| false), Some(1));
-        // A normal task admitted behind waiting bulk ones still pops
-        // ahead of them.
-        queue.push(Normal, 5);
+    fn queue_pops_in_admission_order() {
+        let mut queue: VecDeque<usize> = (0..4).collect();
+        assert_eq!(pop(&mut queue, |_| false), Some(0));
         // A task `pop` may not take (its twin is in flight) keeps its
         // place.
-        assert_eq!(queue.pop(|seq| *seq == 3), Some(4));
-        let order: Vec<usize> = std::iter::from_fn(|| queue.pop(|_| false)).collect();
-        assert_eq!(order, [3, 5, 0, 2]);
-        // Interactive and store-present tasks never wait in the queue;
-        // bulk always does.
-        for (priority, store_present, fast) in [
-            (Interactive, false, true),
-            (Interactive, true, true),
-            (Normal, true, true),
-            (Normal, false, false),
-            (Bulk, true, false),
-            (Bulk, false, false),
-        ] {
-            assert_eq!(
-                fast_lane(priority, store_present),
-                fast,
-                "{priority:?}, store present {store_present}"
-            );
-        }
+        assert_eq!(pop(&mut queue, |seq| *seq == 1), Some(2));
+        queue.push_back(4);
+        let order: Vec<usize> = std::iter::from_fn(|| pop(&mut queue, |_| false)).collect();
+        assert_eq!(order, [1, 3, 4]);
     }
 
     #[test]
-    fn store_hits_and_interactive_requests_take_the_fast_lane() {
+    fn store_hits_take_the_fast_lane() {
         let (engine, dir) = tmp_engine("lanes");
         let sched = Scheduler::start(Arc::clone(&engine), SchedOptions::scheduled(1));
-        let until_nul = "char* loopFunction(char* s) {\n  while (*s) s++;\n  return s;\n}\n";
         for (i, req) in [
             SummaryRequest::c("cold", SKIP),
             SummaryRequest::c("hit", SKIP),
-            SummaryRequest::c("i", until_nul).priority(Priority::Interactive),
         ]
         .into_iter()
         .enumerate()
@@ -596,7 +551,7 @@ mod tests {
             assert!(resp.summary.is_some(), "{}: {:?}", resp.id, resp.failure);
         }
         let stats = sched.stats();
-        assert_eq!((stats.heap, stats.fast_lane), (1, 2), "{stats:?}");
+        assert_eq!((stats.heap, stats.fast_lane), (1, 1), "{stats:?}");
         sched.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -617,10 +572,7 @@ mod tests {
         }
         let stats = sched.stats();
         assert_eq!(stats.fast_lane, 0, "fifo has no fast lane");
-        assert_eq!(
-            stats.heap, stats.flight_waits,
-            "fifo queues only the twins of a task in flight"
-        );
+        assert_eq!(stats.heap, 4, "every prepared task is a queue pop");
         sched.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -658,8 +610,7 @@ mod tests {
 
         /// Tasks waiting in the queue.
         fn queued(sched: &Scheduler) -> usize {
-            let st = sched.shared.state.lock().unwrap();
-            st.queue.normal.len() + st.queue.bulk.len()
+            sched.shared.state.lock().unwrap().queue.len()
         }
 
         /// Spins until `ready` holds; fails the test after a minute instead
@@ -801,6 +752,61 @@ mod tests {
             std::fs::remove_dir_all(&dir).unwrap();
         }
 
+        /// A job whose resolution panics answers `crashed`, with the
+        /// panic's message as `crash_msg` and `failure`. Its flight lands
+        /// and the one worker serves on: the twin parked behind it and a
+        /// later unrelated request both answer.
+        #[test]
+        fn a_panicking_leader_answers_crashed_and_its_worker_serves_on() {
+            let (engine, dir) = tmp_engine("flightcrash");
+            let sched = Scheduler::start(Arc::clone(&engine), SchedOptions::scheduled(1));
+            let mut leader = match engine.prepare(SummaryRequest::c("leader", SKIP)) {
+                Prepared::Task(task) => Box::new(task),
+                Prepared::Done(r) => panic!("resolved at admission: {:?}", r.failure),
+            };
+            // No instant lies `Duration::MAX` ahead: arming the synthesis
+            // deadline panics.
+            leader.cfg.budget.wall = Duration::MAX;
+            let held = hold(&sched.shared, leader.key);
+            let (reply, done) = channel();
+            {
+                let mut st = sched.shared.state.lock().unwrap();
+                st.pending += 1;
+                st.queue.push_back(Queued {
+                    task: leader,
+                    index: 0,
+                    reply: reply.clone(),
+                    waited: false,
+                });
+            }
+            sched.submit(SummaryRequest::c("twin", SKIP), 1, reply.clone());
+            wait_for("the leader and its twin are held back", || {
+                sched.stats().flight_waits == 2
+            });
+            drop(held);
+            let answer = |what: &str| {
+                done.recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|e| panic!("{what} unanswered: {e}"))
+            };
+            let (_, leader) = answer("the panicking leader");
+            let LoopOutcome::Crashed(msg) = &leader.outcome else {
+                panic!("the leader answered {:?}", leader.outcome);
+            };
+            assert_eq!(leader.failure.as_ref(), Some(msg));
+            let (_, twin) = answer("the parked twin");
+            assert_eq!(twin.outcome, LoopOutcome::Summarized, "{:?}", twin.failure);
+            sched.submit(SummaryRequest::c("other", UNTIL_NUL), 2, reply);
+            let (_, other) = answer("a later request");
+            assert_eq!(
+                other.outcome,
+                LoopOutcome::Summarized,
+                "{:?}",
+                other.failure
+            );
+            sched.shutdown();
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
         /// Store-present tasks (the fast lane) and store-bypassing requests
         /// resolve while their fingerprint's flight is held elsewhere.
         #[test]
@@ -833,47 +839,43 @@ mod tests {
             std::fs::remove_dir_all(&dir).unwrap();
         }
 
-        /// With two workers and a fingerprint in flight, its twins wait in
-        /// the queue, a normal one in its place and an interactive one (due
-        /// on the spot) in front, while a worker runs an unrelated request;
-        /// once the flight lands, the interactive twin pops first.
+        /// With two workers and a fingerprint in flight, its twin waits in
+        /// the queue while a worker runs an unrelated request; once the
+        /// flight lands, the twin is popped.
         #[test]
         fn parked_twins_leave_the_workers_free() {
             let (engine, dir) = tmp_engine("flightpark");
             let sched = Scheduler::start(Arc::clone(&engine), SchedOptions::scheduled(2));
             let held = hold(&sched.shared, key_of(&engine, SummaryRequest::c("k", SKIP)));
             let (twins, twins_done) = channel();
-            sched.submit(SummaryRequest::c("twin", SKIP), 0, twins.clone());
-            let hurry = SummaryRequest::c("hurry", SKIP).priority(Priority::Interactive);
-            sched.submit(hurry, 1, twins);
-            wait_for("both twins are held back", || {
-                sched.stats().flight_waits == 2
-            });
+            sched.submit(SummaryRequest::c("twin", SKIP), 0, twins);
+            wait_for("the twin is held back", || sched.stats().flight_waits == 1);
             let (reply, done) = channel();
             sched.submit(SummaryRequest::c("other", UNTIL_NUL), 0, reply);
             let (_, other) = done
                 .recv_timeout(Duration::from_secs(60))
-                .expect("an unrelated request runs while the twins wait");
+                .expect("an unrelated request runs while the twin waits");
             assert_eq!(
                 other.outcome,
                 LoopOutcome::Summarized,
                 "{:?}",
                 other.failure
             );
-            assert_eq!(queued(&sched), 2, "the twins are still queued");
-            assert!(twins_done.try_recv().is_err(), "no twin answered yet");
-            drop(held);
-            let [twin, hurry] = <[SummaryResponse; 2]>::try_from(drain(2, twins_done)).unwrap();
-            assert_eq!(
-                (hurry.outcome, hurry.origin),
-                (LoopOutcome::Summarized, Origin::Fresh)
+            assert_eq!(queued(&sched), 1, "the twin is still queued");
+            assert!(
+                twins_done.try_recv().is_err(),
+                "the twin is not answered yet"
             );
+            drop(held);
+            let [twin] = <[SummaryResponse; 1]>::try_from(drain(1, twins_done)).unwrap();
             assert_eq!(
                 (twin.outcome, twin.origin),
-                (LoopOutcome::CacheHit, Origin::Store)
+                (LoopOutcome::Summarized, Origin::Fresh),
+                "{:?}",
+                twin.failure
             );
             let stats = sched.stats();
-            assert_eq!((stats.flight_waits, stats.heap, stats.fast_lane), (2, 3, 0));
+            assert_eq!((stats.flight_waits, stats.heap, stats.fast_lane), (1, 2, 0));
             sched.shutdown();
             std::fs::remove_dir_all(&dir).unwrap();
         }
