@@ -128,7 +128,7 @@ fn main() -> ExitCode {
                     entry.id
                 ));
             }
-            let (ok, _) = verify_summary(&func, &summary.encode(), on_cfg.max_ex_size);
+            let ok = verify_summary(&func, &summary.encode(), on_cfg.max_ex_size, None).verified;
             let form = summary.closed_form().map(|cf| string(&cf.to_string()));
             flipped.push(object([
                 ("id", string(&entry.id)),

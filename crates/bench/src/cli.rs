@@ -14,7 +14,7 @@
 //! - `--fault-plan <path>` — a deterministic [`FaultPlan`] file to inject
 //! - `--trace <path>` — Chrome-trace span capture (see [`TraceArgs`])
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use strsum_core::Budget;
 
 use crate::{FaultPlan, TraceArgs};
@@ -36,6 +36,17 @@ pub const UNIFORM_FLAGS: &[&str] = &[
     "--fault-plan",
     "--trace",
 ];
+
+/// A wall budget of `secs` seconds. `Err` names why `secs` is none: a
+/// negative or non-finite value, or one so large that a deadline that
+/// far ahead (`Instant::now() + wall`) would overflow the clock.
+pub fn wall_budget(secs: f64) -> Result<Duration, String> {
+    let wall = Duration::try_from_secs_f64(secs).map_err(|e| e.to_string())?;
+    match Instant::now().checked_add(wall) {
+        Some(_) => Ok(wall),
+        None => Err("too far ahead for the clock".to_string()),
+    }
+}
 
 /// Raw `--flag value` lookup over the process arguments (shared by
 /// [`Cli`] and [`crate::TraceArgs`]).
@@ -94,8 +105,17 @@ impl Cli {
     }
 
     /// `--timeout-secs <s>` (fractional allowed), with `default` seconds.
+    /// Exits with a usage error on a value that is no wall budget (see
+    /// [`wall_budget`]): negative, not a number, or too large for the
+    /// clock.
     pub fn timeout_secs(&self, default: f64) -> f64 {
-        self.parsed("--timeout-secs", default)
+        let secs = self.parsed("--timeout-secs", default);
+        if let Err(e) = wall_budget(secs) {
+            let raw = self.value("--timeout-secs").unwrap_or_default();
+            eprintln!("error: --timeout-secs {raw}: {e}");
+            std::process::exit(2);
+        }
+        secs
     }
 
     /// The per-loop [`Budget`]: starts from `base`, then applies
@@ -104,7 +124,8 @@ impl Cli {
     pub fn budget(&self, base: Budget) -> Budget {
         let mut budget = base;
         if self.value("--timeout-secs").is_some() {
-            budget.wall = Duration::from_secs_f64(self.parsed("--timeout-secs", 0.0));
+            let secs = self.timeout_secs(0.0);
+            budget.wall = wall_budget(secs).expect("checked by timeout_secs");
         }
         if self.value("--budget-ms").is_some() {
             budget.wall = Duration::from_millis(self.parsed("--budget-ms", 0));
@@ -189,6 +210,15 @@ mod tests {
         // --budget-ms wins over --timeout-secs.
         let cli = Cli::from_args(&["prog", "--timeout-secs", "9", "--budget-ms", "250"]);
         assert_eq!(cli.budget(base).wall, Duration::from_millis(250));
+    }
+
+    #[test]
+    fn only_usable_wall_budgets_pass() {
+        assert_eq!(wall_budget(2.5), Ok(Duration::from_millis(2500)));
+        assert_eq!(wall_budget(0.0), Ok(Duration::ZERO));
+        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e300, 1e19] {
+            assert!(wall_budget(bad).is_err(), "{bad} is no wall budget");
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 
 use std::time::Duration;
 use strsum_bench::{loop_specs, CorpusReport, CorpusRunner, PlanSpec, RequestSpec};
-use strsum_core::{loop_fingerprint, verify_summary, LoopOutcome, SynthesisConfig};
+use strsum_core::{
+    check_equivalence, loop_fingerprint, verify_summary, EquivalenceResult, LoopOutcome, Procedure,
+    SynthesisConfig,
+};
 use strsum_corpus::{App, LoopEntry};
 use strsum_gadgets::interp::{run_bytes, Outcome};
 use strsum_server::ShardedStore;
@@ -42,8 +45,11 @@ fn poisoned_entry_is_rejected_and_resynthesized() {
     store.insert(fp.clone(), b"C:F".to_vec()).unwrap();
 
     let hit = store.lookup(&fp).expect("poisoned entry is found");
-    let (ok, _) = verify_summary(&func, &hit, 3);
-    assert!(!ok, "re-verification must reject the poisoned entry");
+    let check = verify_summary(&func, &hit, 3, Some(&fp));
+    assert!(
+        !check.verified,
+        "re-verification must reject the poisoned entry"
+    );
     store.remove(&fp).unwrap();
     assert_eq!(store.lookup(&fp), None, "the rejected entry is tombstoned");
     drop(store);
@@ -66,18 +72,35 @@ fn grid_evading_poison_caught_by_bounded_checker() {
     let func = strsum_cfront::compile_one(SKIP_SPACES).unwrap();
     // Skips ' ' and 'q'; 'q' is outside the loop's abstract alphabet, so
     // no grid string distinguishes this from the correct summary.
-    let (ok, effort) = verify_summary(&func, b"P q\0F", 3);
-    assert!(!ok, "checker must reject the grid-evading poison");
-    assert!(effort.queries > 0, "rejection must come from the solver");
+    let check = verify_summary(&func, b"P q\0F", 3, None);
+    assert!(
+        !check.verified,
+        "checker must reject the grid-evading poison"
+    );
+    assert!(
+        check.effort.queries > 0,
+        "rejection must come from the solver"
+    );
 
-    // The correct summary is accepted — also through the solver.
-    let (ok, effort) = verify_summary(&func, b"P \0F", 3);
-    assert!(ok);
-    assert!(effort.queries > 0, "acceptance must come from the solver");
+    // The correct summary is accepted — by a decision procedure for the
+    // whole bounded question: here the cell procedure, with no solver
+    // query. The SAT query accepts it too.
+    let check = verify_summary(&func, b"P \0F", 3, None);
+    assert!(check.verified);
+    assert_eq!(
+        check.procedure,
+        Some(Procedure::Cells),
+        "acceptance must come from a decision procedure"
+    );
+    assert_eq!(check.effort.queries, 0);
+    let prog = strsum_gadgets::Program::decode(b"P \0F").unwrap();
+    assert_eq!(
+        check_equivalence(&func, &prog, 3),
+        EquivalenceResult::Equivalent
+    );
 
     // Undecodable bytes can never verify.
-    let (ok, _) = verify_summary(&func, &[0x11, 0x22], 3);
-    assert!(!ok);
+    assert!(!verify_summary(&func, &[0x11, 0x22], 3, None).verified);
 }
 
 fn cached_run(entries: &[LoopEntry], threads: usize) -> CorpusReport {
@@ -128,9 +151,14 @@ fn semantically_identical_loops_hit_the_cache() {
     assert_eq!(results[2].outcome, LoopOutcome::Summarized);
     assert_eq!(serial.outcomes.cache_hits, 1);
     assert_eq!(serial.outcomes.summarized, 2);
-    assert!(
-        results[1].stats.solver.verify.queries > 0,
-        "the store hit paid for bounded re-verification"
+    assert_eq!(
+        results[1].stats.reverified_by,
+        Some(Procedure::Cells),
+        "the store hit was proved by a bounded decision procedure"
+    );
+    assert_eq!(
+        results[0].stats.reverified_by, None,
+        "a synthesis is no hit"
     );
     assert_eq!(serial.cache.hits, 1);
     assert_eq!(serial.cache.rejected, 0);

@@ -110,6 +110,9 @@ pub struct SynthStats {
     /// Concrete-screening counters (cumulative over the owning session;
     /// all zero when screening is disabled).
     pub screen: crate::screen::ScreenStats,
+    /// The decision procedure that proved a served store hit; `None` for
+    /// everything else.
+    pub reverified_by: Option<crate::equivalence::Procedure>,
 }
 
 /// Result of a synthesis attempt.

@@ -159,11 +159,8 @@ impl BoundedChecker {
         prog: &Program,
     ) -> EquivalenceResult {
         // NULL input first (concrete, cheap).
-        if let Some(expected) = self.null_expected {
-            let got = OracleOutcome::from_gadget(strsum_gadgets::interp::run(prog, None));
-            if got != expected {
-                return EquivalenceResult::Counterexample(None);
-            }
+        if self.null_differs(prog) {
+            return EquivalenceResult::Counterexample(None);
         }
         // Merge the program's guarded outcomes into one term.
         let inv = pool.bv_const(INVALID_SENTINEL, 64);
@@ -195,6 +192,22 @@ impl BoundedChecker {
         }
     }
 
+    /// Tries to prove a program equivalent up to the bound with the cell
+    /// decision procedure ([`crate::cells`]) instead of SAT: `true` is a
+    /// proof (NULL input included), `false` leaves the question to
+    /// [`BoundedChecker::check_in`].
+    pub(crate) fn decide_cells(&self, pool: &mut TermPool, prog: &Program) -> bool {
+        !self.null_differs(prog) && crate::cells::decide_gadget(pool, &self.run, prog)
+    }
+
+    /// Whether the program's outcome on NULL differs from the loop's,
+    /// where the NULL input is in the checked space (NULL-safe loops).
+    fn null_differs(&self, prog: &Program) -> bool {
+        self.null_expected.is_some_and(|expected| {
+            OracleOutcome::from_gadget(strsum_gadgets::interp::run(prog, None)) != expected
+        })
+    }
+
     /// Checks a candidate program for equivalence up to the bound (one
     /// throwaway session; see [`BoundedChecker::check_in`] for reuse).
     pub fn check(&self, pool: &mut TermPool, prog: &Program) -> EquivalenceResult {
@@ -218,60 +231,115 @@ pub(crate) fn canonical_buffer_constraints(pool: &mut TermPool, chars: &[TermId]
     out
 }
 
+/// The decision procedure that proved a summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Procedure {
+    /// The cell decision procedure ([`crate::cells`]): no SAT query.
+    Cells,
+    /// The bounded SAT query.
+    Sat,
+}
+
+/// The verdict of [`verify_summary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reverification {
+    /// Whether the summary is bounded-equivalent to the loop.
+    pub verified: bool,
+    /// The solver effort spent deciding that (zero when no SAT query ran).
+    pub effort: strsum_smt::SessionStats,
+    /// The procedure that proved the summary; `None` when it was
+    /// rejected (rejections come from the grid screen or from SAT, never
+    /// from the cell procedure).
+    pub procedure: Option<Procedure>,
+}
+
+impl Reverification {
+    fn rejected(effort: strsum_smt::SessionStats) -> Reverification {
+        Reverification {
+            verified: false,
+            effort,
+            procedure: None,
+        }
+    }
+
+    fn proved(effort: strsum_smt::SessionStats, procedure: Procedure) -> Reverification {
+        Reverification {
+            verified: true,
+            effort,
+            procedure: Some(procedure),
+        }
+    }
+}
+
 /// Re-verifies a summary (encoded bytes of *either kind* — a gadget
 /// program or a [`crate::recur::ClosedForm`], e.g. a cross-loop cache or
-/// store hit) against `func`, returning whether it is bounded-equivalent
-/// and the solver effort spent deciding that.
+/// store hit) against `func`, reporting whether it is bounded-equivalent,
+/// the solver effort spent deciding that, and which procedure proved it.
 ///
 /// Gadget bytes are first screened concretely on the loop's small-model
 /// grid ([`crate::screen::ConcreteScreen`]) — a visibly wrong summary is
-/// rejected with zero solver queries. A summary is *accepted* only by
-/// the full bounded machinery (the [`BoundedChecker`] for gadget
-/// programs, [`crate::recur::verify_closed_form`] for closed forms): the
-/// grid is finite, so passing it proves nothing, and the small-model
-/// theorem remains the sole soundness root. Undecodable bytes and loops
-/// the checker cannot explore are rejected.
+/// rejected with zero solver queries. When the caller holds the loop's
+/// [`crate::screen::loop_fingerprint`] at `max_ex_size`, passing it
+/// builds the screen from the outcomes it already records instead of
+/// running the loop over the grid again. A summary is *accepted* only by
+/// a decision procedure for the full bounded question: first the cell
+/// procedure ([`crate::cells`]), which answers only "equivalent", then —
+/// when it leaves the question open — the bounded SAT query (the
+/// [`BoundedChecker`] for gadget programs,
+/// [`crate::recur::verify_closed_form`] for closed forms). The grid is
+/// finite, so passing it proves nothing, and the small-model theorem
+/// remains the sole soundness root. Undecodable bytes and loops the
+/// checker cannot explore are rejected.
 pub fn verify_summary(
     func: &strsum_ir::Func,
     bytes: &[u8],
     max_ex_size: usize,
-) -> (bool, strsum_smt::SessionStats) {
+    fingerprint: Option<&[u64]>,
+) -> Reverification {
     let no_effort = strsum_smt::SessionStats::default();
     let prog = match crate::recur::Summary::decode(bytes) {
         Ok(crate::recur::Summary::Gadget(p)) => p,
         Ok(sum) => {
-            // Closed-form summary: discharge through the recurrence lane's
-            // bounded checker (same engine, same canonical constraints).
+            // Closed-form summary: the recurrence lane's bounded checker
+            // (same engine, same canonical constraints), cells first.
             let _span = strsum_obs::span("corpus.reverify", "verify");
             let cf = sum.closed_form().expect("non-gadget summary");
-            return match crate::recur::verify_closed_form(func, cf, max_ex_size) {
-                Ok(stats) => (true, stats),
-                Err(_) => (false, no_effort),
+            return match crate::recur::check_closed_form(func, cf, max_ex_size, true) {
+                Ok((effort, procedure)) => Reverification::proved(effort, procedure),
+                Err(_) => Reverification::rejected(no_effort),
             };
         }
-        Err(_) => return (false, no_effort),
+        Err(_) => return Reverification::rejected(no_effort),
     };
     // A gadget summary denotes a `char* → char*` function; on a loop of a
     // different shape the checker's original-loop term would be vacuous.
     if func.ret_ty != Some(strsum_ir::Ty::Ptr) {
-        return (false, no_effort);
+        return Reverification::rejected(no_effort);
     }
     let _span = strsum_obs::span("corpus.reverify", "verify");
-    let mut oracle = LoopOracle::new(func);
-    let mut screen = crate::screen::ConcreteScreen::new(&mut oracle, max_ex_size);
+    let screen = fingerprint
+        .and_then(|fp| crate::screen::ConcreteScreen::from_fingerprint(func, fp, max_ex_size));
+    let mut screen = screen.unwrap_or_else(|| {
+        crate::screen::ConcreteScreen::new(&mut LoopOracle::new(func), max_ex_size)
+    });
     if screen.grid_rejects(bytes) {
-        return (false, no_effort);
+        return Reverification::rejected(no_effort);
     }
     let mut pool = TermPool::new();
-    match BoundedChecker::new(&mut pool, func, max_ex_size) {
-        Ok(checker) => {
-            let mut session = Session::new();
-            session.set_role("verify");
-            checker.assert_canonical(&mut pool, &mut session);
-            let verdict = checker.check_in(&mut pool, &mut session, &prog);
-            (verdict == EquivalenceResult::Equivalent, session.stats())
-        }
-        Err(_) => (false, no_effort),
+    let Ok(checker) = BoundedChecker::new(&mut pool, func, max_ex_size) else {
+        return Reverification::rejected(no_effort);
+    };
+    if checker.decide_cells(&mut pool, &prog) {
+        strsum_obs::counter(strsum_obs::names::VERIFY_CELLS_DECIDED, "verify", 1);
+        return Reverification::proved(no_effort, Procedure::Cells);
+    }
+    strsum_obs::counter(strsum_obs::names::VERIFY_SAT_FALLBACK, "verify", 1);
+    let mut session = Session::new();
+    session.set_role("verify");
+    checker.assert_canonical(&mut pool, &mut session);
+    match checker.check_in(&mut pool, &mut session, &prog) {
+        EquivalenceResult::Equivalent => Reverification::proved(session.stats(), Procedure::Sat),
+        _ => Reverification::rejected(session.stats()),
     }
 }
 

@@ -36,6 +36,7 @@
 
 pub mod budget;
 pub mod cegis;
+pub mod cells;
 pub mod deepening;
 pub mod equivalence;
 pub mod memoryless;
@@ -52,7 +53,9 @@ pub use cegis::{
     SynthesisConfig, SynthesisResult,
 };
 pub use deepening::{synthesize_deepening, DeepeningConfig};
-pub use equivalence::{check_equivalence, verify_summary, EquivalenceResult};
+pub use equivalence::{
+    check_equivalence, verify_summary, EquivalenceResult, Procedure, Reverification,
+};
 pub use memoryless::{check_memoryless, Direction, MemorylessReport};
 pub use oracle::{LoopOracle, OracleOutcome};
 pub use recur::{

@@ -40,6 +40,22 @@ impl OracleOutcome {
         }
     }
 
+    /// The outcome recorded as `value` in a loop signature
+    /// ([`strsum_symex::loop_signature`]), which [`LoopOracle::run`]
+    /// would compute for the same input: a NULL return, an unsafe run, an
+    /// integer return (unsafe here: a memoryless loop returns a pointer)
+    /// or an offset into the untouched input. `None` for a pointer into a
+    /// rewritten buffer, whose offset the signature hashes away.
+    pub fn from_signature(value: u64) -> Option<OracleOutcome> {
+        match value {
+            NULL_SENTINEL => Some(OracleOutcome::Null),
+            strsum_symex::UNSAFE_SENTINEL => Some(OracleOutcome::Unsafe),
+            v if v & strsum_symex::MEM_TAG != 0 => None,
+            v if v & strsum_symex::INT_TAG != 0 => Some(OracleOutcome::Unsafe),
+            v => Some(OracleOutcome::Ptr(v as usize)),
+        }
+    }
+
     /// Converts a gadget-interpreter outcome into the same domain.
     pub fn from_gadget(o: strsum_gadgets::Outcome) -> OracleOutcome {
         match o {

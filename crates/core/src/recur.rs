@@ -33,6 +33,7 @@
 //! trusted: every candidate is verified before it becomes a summary.
 
 use crate::cegis::{synthesize, SynthStats, SynthesisConfig};
+use crate::equivalence::Procedure;
 use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
@@ -1161,7 +1162,7 @@ fn resolve_exit(shape: &Shape<'_>, from: BlockId, to: BlockId) -> Result<RetSpec
 
 /// Whether the loop faults on a NULL input (the lane's input model excludes
 /// NULL, matching the gadget checker's treatment of NULL-unsafe loops).
-fn faults_on_null(func: &Func) -> bool {
+pub(crate) fn faults_on_null(func: &Func) -> bool {
     let mut mem = Memory::new();
     Interp::new(func, &mut mem).run(&[RtVal::Null]).is_err()
 }
@@ -1234,7 +1235,13 @@ fn in_cont_term(pool: &mut TermPool, cont: &[u8], c: TermId) -> TermId {
 /// compares structurally similar circuits instead of a 255-deep mux chain.
 /// Otherwise falls back to an ite chain over the bytes that differ from the
 /// table's most common value.
-fn table_term(pool: &mut TermPool, cont: &[u8], table: &[i64], ty: Ty, c: TermId) -> TermId {
+pub(crate) fn table_term(
+    pool: &mut TermPool,
+    cont: &[u8],
+    table: &[i64],
+    ty: Ty,
+    c: TermId,
+) -> TermId {
     let w = ty.bits();
     let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
     // Exact affine fit over the continue set.
@@ -1349,17 +1356,39 @@ pub fn verify_closed_form(
     cf: &ClosedForm,
     max_ex_size: usize,
 ) -> Result<SessionStats, String> {
+    check_closed_form(func, cf, max_ex_size, false).map(|(stats, _)| stats)
+}
+
+/// [`verify_closed_form`], optionally trying the cell decision procedure
+/// ([`crate::cells`]) on the symbolic run before the concrete screen and
+/// the SAT query. Returns the solver effort and the procedure that proved
+/// the form; with `cells` off that is always SAT, and the steps run in
+/// [`verify_closed_form`]'s order.
+pub(crate) fn check_closed_form(
+    func: &Func,
+    cf: &ClosedForm,
+    max_ex_size: usize,
+    cells: bool,
+) -> Result<(SessionStats, Procedure), String> {
     if !faults_on_null(func) {
         return Err("NULL-safe loop is outside the recurrence lane".to_string());
     }
-    // Cheap concrete screen before any solver work.
-    for s in strsum_symex::bounded_strings(&probe_alphabet(func, cf), max_ex_size.min(3)) {
-        if !concrete_agrees(func, cf, &s)? {
-            return Err(format!(
-                "concrete mismatch on {:?}",
-                String::from_utf8_lossy(&s)
-            ));
+    // Cheap concrete screen before any solver work. It only ever
+    // rejects, so where the cells may prove the form it runs only when
+    // they do not.
+    let screen = || -> Result<(), String> {
+        for s in strsum_symex::bounded_strings(&probe_alphabet(func, cf), max_ex_size.min(3)) {
+            if !concrete_agrees(func, cf, &s)? {
+                return Err(format!(
+                    "concrete mismatch on {:?}",
+                    String::from_utf8_lossy(&s)
+                ));
+            }
         }
+        Ok(())
+    };
+    if !cells {
+        screen()?;
     }
     let mut pool = TermPool::new();
     let run = {
@@ -1368,6 +1397,14 @@ pub fn verify_closed_form(
     };
     if !run.complete {
         return Err("symbolic execution exceeded budgets".to_string());
+    }
+    if cells {
+        if crate::cells::decide_closed_form(&mut pool, func, &run, cf) {
+            strsum_obs::counter(strsum_obs::names::VERIFY_CELLS_DECIDED, "verify", 1);
+            return Ok((SessionStats::default(), Procedure::Cells));
+        }
+        screen()?;
+        strsum_obs::counter(strsum_obs::names::VERIFY_SAT_FALLBACK, "verify", 1);
     }
     let differ = match cf {
         ClosedForm::Fold {
@@ -1490,7 +1527,7 @@ pub fn verify_closed_form(
     }
     let lit = session.lit(&mut pool, differ);
     match session.canonical_check(&mut pool, &[lit], &run.chars) {
-        CheckResult::Unsat => Ok(session.stats()),
+        CheckResult::Unsat => Ok((session.stats(), Procedure::Sat)),
         CheckResult::Sat(_) => {
             Err("bounded counterexample distinguishes the closed form".to_string())
         }

@@ -165,25 +165,67 @@ pub struct ConcreteScreen {
 
 impl ConcreteScreen {
     /// Builds the grid for `oracle`'s loop and records the loop's outcome
-    /// on every grid input. The NULL input participates only when the
-    /// loop is NULL-safe, mirroring the bounded checker's input space.
+    /// on every grid input (see [`ConcreteScreen::from_outcomes`]).
     pub fn new(oracle: &mut LoopOracle<'_>, max_ex_size: usize) -> ConcreteScreen {
         let mut span = strsum_obs::span("screen.build", "screen");
-        let alphabet = loop_alphabet(oracle.func());
-        let mut grid: Vec<Option<Vec<u8>>> = Vec::new();
-        if oracle.null_safe() {
+        let strings = bounded_strings(&loop_alphabet(oracle.func()), max_ex_size);
+        let mut outcomes = vec![oracle.run(None)];
+        outcomes.extend(strings.iter().map(|s| oracle.run(Some(s))));
+        let screen = ConcreteScreen::from_outcomes(strings, outcomes);
+        span.arg_u64("grid", screen.grid.len() as u64);
+        screen
+    }
+
+    /// [`ConcreteScreen::new`] without running the loop: `fingerprint` is
+    /// the loop's [`loop_fingerprint`] at `max_ex_size`, which already
+    /// records its outcome on the NULL input and on every grid string.
+    /// `None` when the fingerprint describes another grid (alphabet or
+    /// bound) or records an outcome the screen's domain cannot express
+    /// (an offset into a rewritten buffer); the caller then builds the
+    /// screen with [`ConcreteScreen::new`].
+    pub fn from_fingerprint(
+        func: &Func,
+        fingerprint: &[u64],
+        max_ex_size: usize,
+    ) -> Option<ConcreteScreen> {
+        let mut span = strsum_obs::span("screen.build", "screen");
+        let alphabet = loop_alphabet(func);
+        let (head, signature) = fingerprint.split_at_checked(alphabet.len() + 1)?;
+        let same_alphabet = head[..alphabet.len()]
+            .iter()
+            .copied()
+            .eq(alphabet.iter().map(|&b| u64::from(b)));
+        if !same_alphabet || head[alphabet.len()] != u64::MAX {
+            return None;
+        }
+        let strings = bounded_strings(&alphabet, max_ex_size);
+        if signature.len() != strings.len() + 1 {
+            return None;
+        }
+        let outcomes = signature
+            .iter()
+            .map(|&v| OracleOutcome::from_signature(v))
+            .collect::<Option<Vec<_>>>()?;
+        let screen = ConcreteScreen::from_outcomes(strings, outcomes);
+        span.arg_u64("grid", screen.grid.len() as u64);
+        Some(screen)
+    }
+
+    /// The screen over the grid `strings`, given the loop's outcome on
+    /// NULL followed by its outcome on each string. The NULL input
+    /// participates only when the loop is NULL-safe, mirroring the
+    /// bounded checker's input space.
+    fn from_outcomes(strings: Vec<Vec<u8>>, mut outcomes: Vec<OracleOutcome>) -> ConcreteScreen {
+        let mut grid: Vec<Option<Vec<u8>>> = Vec::with_capacity(outcomes.len());
+        if outcomes[0] == OracleOutcome::Unsafe {
+            outcomes.remove(0);
+        } else {
             grid.push(None);
         }
-        grid.extend(
-            bounded_strings(&alphabet, max_ex_size)
-                .into_iter()
-                .map(Some),
-        );
-        let expected = grid.iter().map(|i| oracle.run(i.as_deref())).collect();
-        span.arg_u64("grid", grid.len() as u64);
+        grid.extend(strings.into_iter().map(Some));
         ConcreteScreen {
             grid,
-            expected,
+            expected: outcomes,
             classes: HashMap::new(),
             stats: ScreenStats::default(),
         }
@@ -325,6 +367,35 @@ mod tests {
             screen.refute(&[0x11, 0x22, 0x33]),
             ScreenVerdict::Reject { .. }
         ));
+    }
+
+    #[test]
+    fn a_screen_from_the_fingerprint_is_the_screen_from_the_loop() {
+        let loops = [
+            "char* f(char* s) { while (*s == ' ' || *s == '\\t') s++; return s; }",
+            "char* f(char* s) { if (!s) return s; while (*s == ' ') s++; return s; }",
+            "char* f(char* s) { while (*s != ';') s++; return s; }",
+            "char* f(char* s) { while (*s && *s != ':') s++; return *s ? s : 0; }",
+            "int f(char* s) { int n = 0; while (*s) { n = n + 1; s = s + 1; } return n; }",
+        ];
+        for src in loops {
+            let f = compile_one(src).unwrap();
+            let from_loop = ConcreteScreen::new(&mut LoopOracle::new(&f), 3);
+            let fp = loop_fingerprint(&f, 3);
+            let from_fp = ConcreteScreen::from_fingerprint(&f, &fp, 3).expect(src);
+            assert_eq!(from_fp.grid, from_loop.grid, "{src}");
+            assert_eq!(from_fp.expected, from_loop.expected, "{src}");
+            // Another bound is another grid.
+            assert!(ConcreteScreen::from_fingerprint(&f, &fp, 2).is_none());
+        }
+        // A builder's outcomes hash its rewritten buffer: no screen.
+        let upper = compile_one(
+            "char* f(char* s) { char* p = s; while (*p) { *p = toupper(*p); p = p + 1; } return s; }",
+        )
+        .unwrap();
+        assert!(
+            ConcreteScreen::from_fingerprint(&upper, &loop_fingerprint(&upper, 3), 3).is_none()
+        );
     }
 
     #[test]

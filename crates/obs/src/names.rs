@@ -49,6 +49,13 @@ pub const STORE_VERDICT_HIT: &str = "store.verdict_hit";
 /// One deterministic negative was recorded into the verdict memo.
 pub const STORE_VERDICT_STORED: &str = "store.verdict_stored";
 
+/// One summary re-verification (a store hit) proved by the cell
+/// decision procedure, with no SAT query.
+pub const VERIFY_CELLS_DECIDED: &str = "verify.cells_decided";
+/// One summary re-verification the cell decision procedure left
+/// undecided, so the bounded SAT query ran.
+pub const VERIFY_SAT_FALLBACK: &str = "verify.sat_fallback";
+
 /// One request admitted to the daemon scheduler's run queue.
 pub const SCHED_ADMITTED: &str = "sched.admitted";
 /// One request dispatched through the scheduler's fast lane (a store

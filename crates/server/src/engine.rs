@@ -352,10 +352,10 @@ impl Engine {
                 let start = Instant::now();
                 self.reverified.fetch_add(1, Ordering::Relaxed);
                 strsum_obs::counter(names::STORE_REVERIFIED, "server", 1);
-                let (ok, effort) = verify_summary(&func, &bytes, cfg.max_ex_size);
+                let check = verify_summary(&func, &bytes, cfg.max_ex_size, Some(&fp));
                 // A verified summary always decodes: the checker decodes
                 // it first.
-                let verified = if ok {
+                let verified = if check.verified {
                     Summary::decode(&bytes).ok()
                 } else {
                     None
@@ -369,9 +369,10 @@ impl Engine {
                         summary: Some((summary, bytes)),
                         stats: SynthStats {
                             solver: SolverTelemetry {
-                                verify: effort,
+                                verify: check.effort,
                                 ..SolverTelemetry::default()
                             },
+                            reverified_by: check.procedure,
                             ..SynthStats::default()
                         },
                         elapsed: start.elapsed(),
@@ -383,7 +384,7 @@ impl Engine {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 strsum_obs::counter(names::STORE_REJECTED, "server", 1);
                 let _ = self.store.remove(&fp);
-                rejected = Some(effort);
+                rejected = Some(check.effort);
             }
         }
         // A miss may still have a memoized verdict: recorded by a

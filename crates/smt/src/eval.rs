@@ -33,95 +33,75 @@ fn eval_memo(
         return v;
     }
     let term = pool.term(id);
-    let width = match term.sort {
+    let v = match &term.op {
+        Op::Var { .. } => lookup(id) & mask(sort_width(term.sort)),
+        _ => apply(pool, id, &mut |i| {
+            eval_memo(pool, term.args[i], lookup, memo)
+        }),
+    };
+    memo.insert(id, v);
+    v
+}
+
+fn sort_width(sort: Sort) -> u32 {
+    match sort {
         Sort::Bool => 1,
         Sort::BitVec(w) => w,
-    };
-    let a = |i: usize| term.args[i];
-    let v = match &term.op {
+    }
+}
+
+/// The value of non-variable term `id`, given its operands' values on
+/// demand (`arg(i)` is operand `i`'s value). `And`, `Or` and `Ite` ask
+/// only for the operands they need.
+fn apply(pool: &TermPool, id: TermId, arg: &mut dyn FnMut(usize) -> u64) -> u64 {
+    let term = pool.term(id);
+    let width = sort_width(term.sort);
+    match &term.op {
         Op::BoolConst(b) => u64::from(*b),
         Op::BvConst { value, .. } => *value,
-        Op::Var { .. } => lookup(id) & mask(width),
-        Op::Not => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            u64::from(x == 0)
-        }
+        Op::Var { .. } => unreachable!("variables are looked up, not applied"),
+        Op::Not => u64::from(arg(0) == 0),
         Op::And => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            if x == 0 {
+            if arg(0) == 0 {
                 0
             } else {
-                eval_memo(pool, a(1), lookup, memo)
+                arg(1)
             }
         }
         Op::Or => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            if x != 0 {
+            if arg(0) != 0 {
                 1
             } else {
-                eval_memo(pool, a(1), lookup, memo)
+                arg(1)
             }
         }
-        Op::Eq => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
-            u64::from(x == y)
-        }
+        Op::Eq => u64::from(arg(0) == arg(1)),
         Op::Ite => {
-            let c = eval_memo(pool, a(0), lookup, memo);
-            if c != 0 {
-                eval_memo(pool, a(1), lookup, memo)
+            if arg(0) != 0 {
+                arg(1)
             } else {
-                eval_memo(pool, a(2), lookup, memo)
+                arg(2)
             }
         }
-        Op::BvAdd => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
-            x.wrapping_add(y) & mask(width)
-        }
-        Op::BvSub => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
-            x.wrapping_sub(y) & mask(width)
-        }
-        Op::BvMul => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
-            x.wrapping_mul(y) & mask(width)
-        }
-        Op::BvNot => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            !x & mask(width)
-        }
-        Op::BvAnd => eval_memo(pool, a(0), lookup, memo) & eval_memo(pool, a(1), lookup, memo),
-        Op::BvOr => eval_memo(pool, a(0), lookup, memo) | eval_memo(pool, a(1), lookup, memo),
-        Op::BvXor => eval_memo(pool, a(0), lookup, memo) ^ eval_memo(pool, a(1), lookup, memo),
-        Op::BvUlt => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
-            u64::from(x < y)
-        }
-        Op::BvUle => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
-            u64::from(x <= y)
-        }
+        Op::BvAdd => arg(0).wrapping_add(arg(1)) & mask(width),
+        Op::BvSub => arg(0).wrapping_sub(arg(1)) & mask(width),
+        Op::BvMul => arg(0).wrapping_mul(arg(1)) & mask(width),
+        Op::BvNot => !arg(0) & mask(width),
+        Op::BvAnd => arg(0) & arg(1),
+        Op::BvOr => arg(0) | arg(1),
+        Op::BvXor => arg(0) ^ arg(1),
+        Op::BvUlt => u64::from(arg(0) < arg(1)),
+        Op::BvUle => u64::from(arg(0) <= arg(1)),
         Op::BvSlt => {
-            let w = pool.width(a(0));
-            let x = to_signed(eval_memo(pool, a(0), lookup, memo), w);
-            let y = to_signed(eval_memo(pool, a(1), lookup, memo), w);
-            u64::from(x < y)
+            let w = pool.width(term.args[0]);
+            u64::from(to_signed(arg(0), w) < to_signed(arg(1), w))
         }
         Op::BvSle => {
-            let w = pool.width(a(0));
-            let x = to_signed(eval_memo(pool, a(0), lookup, memo), w);
-            let y = to_signed(eval_memo(pool, a(1), lookup, memo), w);
-            u64::from(x <= y)
+            let w = pool.width(term.args[0]);
+            u64::from(to_signed(arg(0), w) <= to_signed(arg(1), w))
         }
         Op::BvShl => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
+            let (x, y) = (arg(0), arg(1));
             if y >= u64::from(width) {
                 0
             } else {
@@ -129,33 +109,72 @@ fn eval_memo(
             }
         }
         Op::BvLshr => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            let y = eval_memo(pool, a(1), lookup, memo);
+            let (x, y) = (arg(0), arg(1));
             if y >= u64::from(width) {
                 0
             } else {
                 x >> y
             }
         }
-        Op::ZeroExt(_) => eval_memo(pool, a(0), lookup, memo),
+        Op::ZeroExt(_) => arg(0),
         Op::SignExt(_) => {
-            let w = pool.width(a(0));
-            let x = eval_memo(pool, a(0), lookup, memo);
-            (to_signed(x, w) as u64) & mask(width)
+            let w = pool.width(term.args[0]);
+            (to_signed(arg(0), w) as u64) & mask(width)
         }
-        Op::Extract { hi, lo } => {
-            let x = eval_memo(pool, a(0), lookup, memo);
-            (x >> lo) & mask(hi - lo + 1)
-        }
+        Op::Extract { hi, lo } => (arg(0) >> lo) & mask(hi - lo + 1),
         Op::Concat => {
-            let hi = eval_memo(pool, a(0), lookup, memo);
-            let lo = eval_memo(pool, a(1), lookup, memo);
-            let wl = pool.width(a(1));
+            let wl = pool.width(term.args[1]);
+            let (hi, lo) = (arg(0), arg(1));
             ((hi << wl) | lo) & mask(width)
         }
+    }
+}
+
+/// Evaluates `id` under every value of the variable `var` (width ≤ 8)
+/// at once: entry `v` is [`eval`] of `id` with `var = v`. Every other
+/// variable reads 0. One pass over the term DAG serves all values, so a
+/// term with `n` distinct subterms costs `n` visits instead of `256 · n`
+/// lookups in per-value memo tables.
+///
+/// # Panics
+///
+/// Panics when `var` is wider than 8 bits.
+pub fn eval_per_value(pool: &TermPool, id: TermId, var: TermId) -> Vec<u64> {
+    let width = pool.width(var);
+    assert!(
+        width <= 8,
+        "per-value evaluation needs a variable of ≤ 8 bits"
+    );
+    let mut memo: HashMap<TermId, Vec<u64>> = HashMap::new();
+    per_value(pool, id, var, 1 << width, &mut memo);
+    memo.remove(&id).expect("evaluated")
+}
+
+fn per_value(
+    pool: &TermPool,
+    id: TermId,
+    var: TermId,
+    values: usize,
+    memo: &mut HashMap<TermId, Vec<u64>>,
+) {
+    if memo.contains_key(&id) {
+        return;
+    }
+    let term = pool.term(id);
+    for &a in &term.args {
+        per_value(pool, a, var, values, memo);
+    }
+    let lanes: Vec<u64> = match &term.op {
+        Op::Var { .. } if id == var => (0..values as u64).collect(),
+        Op::Var { .. } => vec![0; values],
+        _ => {
+            let args: Vec<&Vec<u64>> = term.args.iter().map(|a| &memo[a]).collect();
+            (0..values)
+                .map(|v| apply(pool, id, &mut |i| args[i][v]))
+                .collect()
+        }
     };
-    memo.insert(id, v);
-    v
+    memo.insert(id, lanes);
 }
 
 /// Evaluates a bit-vector term.
@@ -197,6 +216,32 @@ mod tests {
         let s = p.bv_add(x, y);
         let val = eval_bv(&p, s, &|_| 200);
         assert_eq!(val, (200 + 200) % 256);
+    }
+
+    #[test]
+    fn per_value_evaluation_matches_eval() {
+        let mut p = TermPool::new();
+        let c = p.var("c", 8);
+        let other = p.var("d", 8);
+        let z = p.zero_ext(c, 32);
+        let k = p.bv_const(0x30, 32);
+        let d = p.bv_sub(z, k);
+        let ten = p.bv_const(10, 32);
+        let m = p.bv_mul(d, ten);
+        let lo = p.bv_const(u64::from(b'0'), 8);
+        let ge = p.bv_ule(lo, c);
+        let lt = p.bv_slt(c, other);
+        let g = p.and(ge, lt);
+        let t = p.ite(g, m, z);
+        let x = p.extract(t, 7, 0);
+        for term in [t, g, x, d] {
+            let lanes = eval_per_value(&p, term, c);
+            assert_eq!(lanes.len(), 256);
+            for v in 0..256u64 {
+                let want = eval(&p, term, &|id| if id == c { v } else { 0 });
+                assert_eq!(lanes[v as usize], want, "value {v}");
+            }
+        }
     }
 
     #[test]

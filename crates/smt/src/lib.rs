@@ -62,7 +62,9 @@ pub use eval::{eval_bool, eval_bv};
 pub use model::Model;
 pub use sat::{Lit, SatResult, Solver as SatSolver};
 pub use session::{Session, SessionStats};
-pub use strings::{ByteSet, StringAbstraction, StringTheory, TheoryState, TheoryVerdict};
+pub use strings::{
+    ByteSet, StringAbstraction, StringTheory, TheoryState, TheoryVerdict, Translation,
+};
 pub use term::{Op, Sort, Term, TermId, TermPool};
 
 /// Outcome of a satisfiability check at the term level.

@@ -22,7 +22,7 @@
 //!   bit-blaster. Only [`TheoryVerdict::Unknown`] falls through to the
 //!   SAT-based [`crate::Solver`].
 
-use crate::eval::eval_bool;
+use crate::eval::{eval_bool, eval_per_value};
 use crate::model::Model;
 use crate::term::{Op, Sort, TermId, TermPool};
 use std::collections::HashMap;
@@ -327,7 +327,7 @@ enum VarUse {
 
 /// Exact translation of a boolean term into the per-cell fragment.
 #[derive(Debug, Clone)]
-enum Translation {
+pub enum Translation {
     /// The term is equivalent to this constant.
     Const(bool),
     /// The term is equivalent to the conjunction of `var ∈ set`
@@ -430,23 +430,20 @@ impl StringTheory {
     /// Exact byte-set of a single-variable boolean term: evaluate it for
     /// every value of the variable's (≤ 8-bit) domain.
     fn eval_set(pool: &TermPool, t: TermId, var: TermId) -> Option<ByteSet> {
-        let width = match pool.sort(var) {
-            Sort::BitVec(w) if w <= 8 => w,
-            _ => return None,
-        };
-        let mut set = ByteSet::EMPTY;
-        for v in 0u32..1 << width {
-            if eval_bool(pool, t, &|id| {
-                debug_assert_eq!(id, var, "single-variable term");
-                u64::from(v)
-            }) {
-                set.insert(v as u8);
-            }
+        if !matches!(pool.sort(var), Sort::BitVec(w) if w <= 8) {
+            return None;
         }
-        Some(set)
+        let values = eval_per_value(pool, t, var);
+        Some(
+            (0..=255u8)
+                .filter(|&v| values.get(usize::from(v)).is_some_and(|&x| x != 0))
+                .collect(),
+        )
     }
 
-    fn translate(&mut self, pool: &TermPool, t: TermId) -> Translation {
+    /// The exact per-cell form of boolean term `t` (memoised), for
+    /// callers that reason over product regions of byte cells.
+    pub fn translate(&mut self, pool: &TermPool, t: TermId) -> Translation {
         if let Some(tr) = self.trans.get(&t) {
             return tr.clone();
         }

@@ -25,12 +25,12 @@ pub const UNSAFE_SENTINEL: u64 = 0xffff_ffff_ffff_fff3;
 /// Tag bit for integer-return outcomes. Offsets are bounded by the grid
 /// string length and sentinels have bit 63 set, so `[2^62, 2^63)` is
 /// free for the accumulator lane's outcome domain.
-const INT_TAG: u64 = 1 << 62;
+pub const INT_TAG: u64 = 1 << 62;
 
 /// Tag bit for mutated-memory (builder) outcomes: bit 63 set, bit 62
 /// clear, so the range `[2^63, 2^63 + 2^62)` is disjoint from offsets,
 /// integer outcomes, and the (high-bits-saturated) sentinels.
-const MEM_TAG: u64 = 1 << 63;
+pub const MEM_TAG: u64 = 1 << 63;
 
 /// Payload bits available under either tag.
 const PAYLOAD_MASK: u64 = (1 << 62) - 1;

@@ -39,7 +39,9 @@ pub mod memory;
 pub mod session;
 pub mod value;
 
-pub use concrete::{bounded_strings, concrete_outcome, loop_signature, UNSAFE_SENTINEL};
+pub use concrete::{
+    bounded_strings, concrete_outcome, loop_signature, INT_TAG, MEM_TAG, UNSAFE_SENTINEL,
+};
 pub use engine::{Engine, Exhaustion, PathResult, RunStats, SymOutcome, SymbolicRun};
 pub use memory::{SymMemory, SymObject};
 pub use session::SymbolicSession;
